@@ -224,9 +224,9 @@ def cmd_quality(args) -> dict:
             import ray
 
             workers = max(1, args.resume_workers)
-            # split the actor budget across concurrent shard pipelines —
-            # each shard execution gets its own (smaller) strict pool so
-            # two pipelines never contend for the same actor slots
+            # split the CPU budget across concurrent shard pipelines —
+            # each shard execution caps its own annotate tasks so the
+            # shards share the cluster instead of queueing on it
             total = int(ray.cluster_resources().get("CPU", 4))
             per_shard = max(1, (total - 2) // workers)
             cfg = QualityConfig(max_actors=per_shard, **model_kwargs)

@@ -115,8 +115,11 @@ def _partials(columns: List[str], p: int):
             qsketch = None
             if _is_numeric(typ) and n > nulls:
                 q = LogHistogramQuantiles()
+                # unsafe cast: a safe one raises on integers above
+                # 2**53, and the sketch bins are far coarser than the
+                # rounding
                 vals = pc.fill_null(
-                    col.cast(pa.float64()), float("nan")
+                    col.cast(pa.float64(), safe=False), float("nan")
                 ).to_numpy(zero_copy_only=False)
                 q.add_many(vals)  # NaN (nulls) dropped by the sketch
                 qsketch = q.to_bytes()
@@ -138,13 +141,19 @@ def _partials(columns: List[str], p: int):
 
 def _better(cur, cand, dtype: str, want_min: bool):
     """Combine two canonical min/max reprs, numerically for numeric
-    dtypes (string compare would rank '10' < '9')."""
+    dtypes (string compare would rank '10' < '9'). Integer reprs go
+    through ``int()``: ``float()`` collapses int64 values above 2**53,
+    and the tie would keep whichever block merged first."""
     if cand is None:
         return cur
     if cur is None:
         return cand
-    numeric = dtype.startswith(("int", "uint", "float", "double", "halffloat"))
-    a, b = (float(cur), float(cand)) if numeric else (cur, cand)
+    if dtype.startswith(("int", "uint")):
+        a, b = int(cur), int(cand)
+    elif dtype.startswith(("float", "double", "halffloat")):
+        a, b = float(cur), float(cand)
+    else:
+        a, b = cur, cand
     if want_min:
         return cur if a <= b else cand
     return cur if a >= b else cand

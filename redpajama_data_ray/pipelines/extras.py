@@ -874,9 +874,7 @@ def q_corpus_flagship(sf_dir: str) -> Dataset:
 
     write_flagship_oracle(sf_dir)
 
-    # cap at 8 actors but never take the whole cluster: a strict pool
-    # equal to num_cpus starves the read/write task operators (observed
-    # wedge at num_cpus=8)
+    # at most 8 concurrent annotate tasks, two below the cluster's CPUs
     ds = annotate(
         read_corpus(sf_dir),
         QualityConfig(max_actors=max(1, min(8, _default_actors()))),

@@ -1,18 +1,24 @@
 """The flagship quality pipeline (SURVEY.md §7.1 architecture).
 
-Default (fused) plan — one actor pool holds every model:
+Default (fused) plan — annotation runs as Ray Data tasks:
 
-    read_parquet(corpus, override_num_blocks=4*actors)
-      -> map_batches(assign_ids)                  # task op, fused into pool
-      -> map_batches(AnnotateStage,               # ONE actor pool:
-             concurrency=(N, N), num_cpus=1)      #  langid + perplexity +
+    read_parquet(corpus, override_num_blocks=4*_default_actors())
+      -> map_batches(assign_ids)                  # task, batched like
+      -> map_batches(CachedAnnotateStage(...))    #  the annotate task:
+                                                  #  langid + perplexity +
                                                   #  signals + minhash +
                                                   #  PII scrub + keep/drop
       -> write_parquet / dedup branches (caller)
 
-``fused=False`` expands into one pool per model (LangIdStage ->
+Ray fuses ids -> annotate -> the caller's write into one task chain, so
+every CPU annotates and no batch passes between operators. Each worker
+process builds its ``AnnotateStage`` once and keeps it in a small cache
+(stages/annotate.py); nothing starts an actor.
+
+``fused="pairs"`` runs two actor pools (langid + perplexity, then the
+kernels); ``fused=False`` runs one pool per model (LangIdStage ->
 PerplexityStage -> SignalStage -> MinHashStage -> scrub -> decide) for
-heterogeneous per-stage scaling; both paths emit identical columns
+heterogeneous per-stage scaling. Every plan emits identical columns
 (tests/test_registry_and_paths.py::test_fused_and_unfused_paths_match).
 
 Everything streams; nothing materializes the corpus. Filtering
@@ -46,13 +52,13 @@ from ..stages import (
 @dataclass
 class QualityConfig:
     """Per-stage sizing. Batch sizes keep a batch x concurrency well
-    under worker heap even with multi-MB content rows; actor pools
-    autoscale within (1, max) so no stage starves the others.
+    under worker heap even with multi-MB content rows.
 
-    ``fused=True`` (default) runs every model in ONE actor pool
-    (stages/annotate.py) — no inter-pool handoff, fits any CPU budget.
-    ``fused=False`` runs one pool per model with fractional CPUs, for
-    heterogeneous per-stage scaling on a real cluster.
+    ``fused=True`` (default) runs every model in one task per batch
+    (stages/annotate.py ``CachedAnnotateStage``) — no actor, no
+    inter-operator handoff, fits any CPU budget including one CPU.
+    ``fused=False`` runs one actor pool per model with fractional CPUs,
+    for heterogeneous per-stage scaling on a real cluster.
     ``fused="pairs"`` is the middle topology: TWO pools — a model pool
     (langid + perplexity, the inferences a real cluster
     sizes/provisions separately) and a kernel pool (signals + minhash
@@ -60,19 +66,24 @@ class QualityConfig:
     identical columns (tested in tests/test_pipeline_e2e.py).
     """
 
+    # batch of the task operators of the pool plans (ids, scrub, decide)
     batch_size: int = 256
+    # batch of the annotate stage, task or actor; the fused plan runs
+    # ids at this size too, so every read block becomes its own
+    # annotate task instead of being packed with its neighbours
     actor_batch_size: int = 64
     # giant-row guard (SURVEY §4: Ray splits oversized BLOCKS, but one
-    # huge row still lands whole in an actor): when set, content longer
-    # than this is truncated before annotation and flagged in a
+    # huge row still lands whole in an annotate call): when set, content
+    # longer than this is truncated before annotation and flagged in a
     # content_truncated column. Off by default — truncation changes
     # signal values for the affected rows.
     max_content_chars: Optional[int] = None
-    max_actors: Optional[int] = None  # None -> num_cpus - 2 (reference
-    #   sizing: pipeline.py:334 uses cpu_count-2 worker processes)
-    min_actors: Optional[int] = None  # None -> max_actors (fixed pool:
-    #   skip autoscaler ramp-up; model init is cheap and amortized)
-    num_blocks: Optional[int] = None  # None -> 4 tasks per actor
+    # fused plan: cap on concurrent annotate tasks (None -> Ray runs one
+    # per free CPU). Pool plans: the actor budget (None -> num_cpus - 2,
+    # the reference's sizing: pipeline.py:334 uses cpu_count-2 worker
+    # processes), never more than num_cpus - 1 CPUs
+    max_actors: Optional[int] = None
+    num_blocks: Optional[int] = None  # None -> keep the input's blocks
     fused: "bool | str" = True  # True | False | "pairs"
     include_line_signals: bool = True
     include_minhash: bool = True
@@ -88,32 +99,78 @@ class QualityConfig:
     # job start, pipeline.py:286-297): fastText .bin / .npz profiles
     # for language ID, KenLM .arpa/.klm/.npz for perplexity, fastText
     # .bin / .npy log-odds for the quality classifier. Loaded once per
-    # actor via functions/model_loading.py (dependency-free readers
-    # when the real packages are absent).
+    # worker process (fused) or actor (pools) via
+    # functions/model_loading.py (dependency-free readers when the real
+    # packages are absent).
     langid_model_path: Optional[str] = None
     ppl_model_path: Optional[str] = None
     classifier_model_path: Optional[str] = None
 
 
-def _default_actors() -> int:
+def _cluster_cpus() -> int:
     import ray
 
     try:
-        total = int(ray.cluster_resources().get("CPU", 4))
+        return int(ray.cluster_resources().get("CPU", 4))
     except Exception:
-        total = 4
-    return max(1, total - 2)
+        return 4
+
+
+def _default_actors() -> int:
+    """Actor budget of the pool plans and read parallelism unit:
+    the cluster's CPUs less two, at least one."""
+    return max(1, _cluster_cpus() - 2)
+
+
+def _pool_budget(cfg: QualityConfig) -> float:
+    """CPUs the actor pools of the ``pairs`` and unfused plans may
+    hold: ~90% of the actor budget, at least 2, and never more than
+    the cluster's CPUs less one, which stays free for the read and
+    write tasks (a pool holding every CPU starves them: the plan
+    hangs)."""
+    cpus = _cluster_cpus()
+    if cpus < 2:
+        raise ValueError(
+            f"QualityConfig(fused={cfg.fused!r}) needs at least 2 CPUs: "
+            "its actor pools hold CPUs the read and write tasks need; "
+            "the default fused=True plan runs on one"
+        )
+    max_actors = cfg.max_actors or _default_actors()
+    return min(max(2.0, max_actors * 0.9), cpus - 1)
+
+
+def _pools(budget: float, weights: "list[float]") -> "tuple[list, float]":
+    """Fixed actor count per pool (its weight's share of ``budget``,
+    at 0.5 CPU each, at least one actor) and the CPUs per actor that
+    keep every pool together inside ``budget``."""
+    sizes = [max(1, round(2 * budget * w)) for w in weights]
+    return sizes, min(0.5, budget / sum(sizes))
 
 
 def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
     """corpus Dataset -> fully annotated Dataset (lazy, streaming)."""
     cfg = cfg or QualityConfig()
-    max_actors = cfg.max_actors or _default_actors()
-    min_actors = cfg.min_actors or max_actors
+    if cfg.fused not in (True, False, "pairs"):
+        # any other string would fall through truthy into the fused
+        # plan — reject typos ("unfused", "Pairs") loudly instead
+        raise ValueError(
+            f"QualityConfig.fused must be True, False or 'pairs', "
+            f"got {cfg.fused!r}"
+        )
     if cfg.num_blocks:
         # explicit re-split requested (callers reading pre-split files
         # should pass override_num_blocks at the read instead — no barrier)
         ds = ds.repartition(cfg.num_blocks)
+    fused = cfg.fused not in (False, "pairs")
+    # the fused plan's task operators share one batch size and one
+    # concurrency cap, the conditions for Ray to fuse them with the
+    # annotate task into a single task chain
+    if fused:
+        task_args = dict(
+            batch_size=cfg.actor_batch_size, concurrency=cfg.max_actors
+        )
+    else:
+        task_args = dict(batch_size=cfg.batch_size)
     if cfg.max_content_chars is not None:
         cap = cfg.max_content_chars
 
@@ -130,41 +187,55 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
                 "content_truncated", pc.cast(too_long, pa.bool_())
             )
 
-        ds = ds.map_batches(
-            _truncate, batch_format="pyarrow", batch_size=cfg.batch_size
-        )
-    ds = ds.map_batches(
-        assign_ids, batch_format="pyarrow", batch_size=cfg.batch_size
-    )
+        ds = ds.map_batches(_truncate, batch_format="pyarrow", **task_args)
+    ds = ds.map_batches(assign_ids, batch_format="pyarrow", **task_args)
+    from ..functions.registry import registered_signals
+
     feature_kwargs = dict(
         include_line_signals=cfg.include_line_signals,
         include_classifier=cfg.include_classifier,
         include_dsir=cfg.include_dsir,
     )
-    if cfg.fused not in (True, False, "pairs"):
-        # any other string would fall through truthy into the fused
-        # plan — reject typos ("unfused", "Pairs") loudly instead
-        raise ValueError(
-            f"QualityConfig.fused must be True, False or 'pairs', "
-            f"got {cfg.fused!r}"
+    if fused:
+        from ..stages.annotate import CachedAnnotateStage
+
+        # scrub + decide run inside the same call (they are <10% of
+        # its cost), so the annotated rows leave the task finished
+        return ds.map_batches(
+            CachedAnnotateStage(
+                include_minhash=cfg.include_minhash,
+                minhash_shingle_hash=cfg.minhash_shingle_hash,
+                include_scrub=True,
+                rules=cfg.rules,
+                # plugin signals are captured here and shipped by
+                # value: the registry is empty in a fresh worker
+                extra_signals=list(registered_signals().values()),
+                langid_model_path=cfg.langid_model_path,
+                ppl_model_path=cfg.ppl_model_path,
+                classifier_model_path=cfg.classifier_model_path,
+                **feature_kwargs,
+            ),
+            batch_format="pyarrow",
+            # the stage builds a new table; skip the defensive copy
+            zero_copy_batch=True,
+            **task_args,
         )
+    budget = _pool_budget(cfg)
     if cfg.fused == "pairs":
-        from ..functions.registry import registered_signals
         from ..stages.annotate import AnnotateStage, ModelPairStage
 
         # fixed-size pools weighted by measured compute share, like
         # the unfused plan below (the r4 "pairs" scaling floor of
         # 0.37-0.44 was the same autoscale-from-1 ramp): models
         # (langid+ppl) ~25% of pipeline compute, kernels ~75%
-        budget2 = max(2.0, max_actors * 0.9)
+        sizes, cpus = _pools(budget, [0.25, 0.70])
 
-        def pair_pool(weight: float) -> dict:
-            n = max(1, round(2 * budget2 * weight))
+        def pair_pool(n: int) -> dict:
             return dict(
                 batch_format="pyarrow",
                 batch_size=cfg.actor_batch_size,
                 concurrency=(n, n),
-                num_cpus=0.5,
+                num_cpus=cpus,
                 zero_copy_batch=True,
             )
 
@@ -174,7 +245,7 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
                 langid_model_path=cfg.langid_model_path,
                 ppl_model_path=cfg.ppl_model_path,
             ),
-            **pair_pool(0.25),
+            **pair_pool(sizes[0]),
         )
         ds = ds.map_batches(
             AnnotateStage,
@@ -188,99 +259,52 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
                 classifier_model_path=cfg.classifier_model_path,
                 **feature_kwargs,
             ),
-            **pair_pool(0.70),
+            **pair_pool(sizes[1]),
         )
         return ds
-    if cfg.fused:
-        from ..stages.annotate import AnnotateStage
-
-        # scrub + decide run inside the same actor pass (they are <10%
-        # of its cost); the only task operators left are read and write,
-        # so the pool can own nearly every CPU without starving them
-        from ..functions.registry import registered_signals
-
+    if cfg.classifier_model_path:
+        raise ValueError(
+            "classifier_model_path requires a fused plan "
+            "(fused=True or 'pairs'): the unfused SignalStage computes "
+            "the classifier inside its per-language kernel"
+        )
+    # One pool per model, each FIXED-SIZE (min == max) and sized to
+    # the stage's measured share of pipeline compute. The previous
+    # (1, max_actors) autoscaling pools utilized only ~40% of a
+    # 32-CPU host (220 s of remote compute stretched to 17 s wall,
+    # sf0.1): every pool ramps from ONE actor while upstream
+    # output queues, and six pools ramping serially never reach
+    # steady state within a stage's lifetime — the unfused plan's
+    # 0.54-0.65 scaling floor was scheduling bubbles, not handoff
+    # bytes (measured: 6 content-sized handoffs ≈ 1.5 GB through
+    # the object store ≈ sub-second). Weights from the sf0.1
+    # remote-wall profile: signal 56%, minhash 24%, langid 7.5%,
+    # perplexity 4%, rest tasks. Each actor holds 0.5 CPU (less when
+    # the one-actor floors would overrun the budget), so a stage's CPU
+    # share is actors/2; the CPUs outside the budget stay free for the
+    # task operators (read/ids/scrub/write).
+    stages = [
+        (LangIdStage, dict(model_path=cfg.langid_model_path), 0.10),
+        (PerplexityStage, dict(model_path=cfg.ppl_model_path), 0.06),
+        (SignalStage, feature_kwargs, 0.50),
+    ]
+    if cfg.include_minhash:
+        stages.append(
+            (MinHashStage, dict(shingle_hash=cfg.minhash_shingle_hash), 0.24)
+        )
+    sizes, cpus = _pools(budget, [w for _, _, w in stages])
+    for (stage, kwargs, _), n in zip(stages, sizes):
         ds = ds.map_batches(
-            AnnotateStage,
-            fn_constructor_kwargs=dict(
-                include_minhash=cfg.include_minhash,
-                minhash_shingle_hash=cfg.minhash_shingle_hash,
-                include_scrub=True,
-                rules=cfg.rules,
-                extra_signals=list(registered_signals().values()),
-                langid_model_path=cfg.langid_model_path,
-                ppl_model_path=cfg.ppl_model_path,
-                classifier_model_path=cfg.classifier_model_path,
-                **feature_kwargs,
-            ),
+            stage,
+            fn_constructor_kwargs=kwargs,
             batch_format="pyarrow",
             batch_size=cfg.actor_batch_size,
-            concurrency=(min_actors, max_actors),
-            num_cpus=1,
-            # the stage builds a new table; skip the defensive copy
+            concurrency=(n, n),
+            num_cpus=cpus,
+            # stages build NEW tables (Arrow is immutable) — skip
+            # the defensive input copy on every handoff
             zero_copy_batch=True,
         )
-        return ds
-    else:
-        if cfg.classifier_model_path:
-            raise ValueError(
-                "classifier_model_path requires the fused plan "
-                "(fused=True): the unfused SignalStage computes the "
-                "classifier inside its per-language kernel"
-            )
-        # One pool per model, each FIXED-SIZE (min == max) and sized to
-        # the stage's measured share of pipeline compute. The previous
-        # (1, max_actors) autoscaling pools utilized only ~40% of a
-        # 32-CPU host (220 s of remote compute stretched to 17 s wall,
-        # sf0.1): every pool ramps from ONE actor while upstream
-        # output queues, and six pools ramping serially never reach
-        # steady state within a stage's lifetime — the unfused plan's
-        # 0.54-0.65 scaling floor was scheduling bubbles, not handoff
-        # bytes (measured: 6 content-sized handoffs ≈ 1.5 GB through
-        # the object store ≈ sub-second). Weights from the sf0.1
-        # remote-wall profile: signal 56%, minhash 24%, langid 7.5%,
-        # perplexity 4%, rest tasks. Each actor holds 0.5 CPU, so a
-        # stage's CPU share is actors/2; ~10% of the budget stays free
-        # for the task operators (read/ids/scrub/write).
-        budget = max(2.0, max_actors * 0.9)  # CPUs for the pools
-
-        def sized(weight: float) -> "tuple[int, int]":
-            n = max(1, round(2 * budget * weight))
-            return (n, n)
-
-        def pool(weight: float) -> dict:
-            return dict(
-                batch_format="pyarrow",
-                batch_size=cfg.actor_batch_size,
-                concurrency=sized(weight),
-                num_cpus=0.5,
-                # stages build NEW tables (Arrow is immutable) — skip
-                # the defensive input copy on every handoff
-                zero_copy_batch=True,
-            )
-
-        ds = ds.map_batches(
-            LangIdStage,
-            fn_constructor_kwargs=dict(model_path=cfg.langid_model_path),
-            **pool(0.10),
-        )
-        ds = ds.map_batches(
-            PerplexityStage,
-            fn_constructor_kwargs=dict(model_path=cfg.ppl_model_path),
-            **pool(0.06),
-        )
-        ds = ds.map_batches(
-            SignalStage,
-            fn_constructor_kwargs=feature_kwargs,
-            **pool(0.50),
-        )
-        if cfg.include_minhash:
-            ds = ds.map_batches(
-                MinHashStage,
-                fn_constructor_kwargs=dict(
-                    shingle_hash=cfg.minhash_shingle_hash
-                ),
-                **pool(0.24),
-            )
     # scrub and decide are stateless kernels — run them as TASK
     # operators so Ray Data fuses scrub -> decide -> write into one
     # pass (an actor-pool decide forced two extra content-sized

@@ -1,20 +1,30 @@
-"""Fused annotation actor stage: every model + signal table in one pool.
+"""Fused annotation stage: every model + signal table in one callable.
 
-Holds the language-ID model, perplexity LM, signal kernel, classifier,
-DSIR scorer and minhash permutations in one actor (all loaded once in
-``__init__``) and computes the full annotation row-set in a single pass
-per batch. This is the default execution mode: one actor pool means the
-streaming executor can run read -> annotate -> scrub -> decide -> write
-with no inter-pool handoff, and the pipeline fits small CPU budgets
-(each extra pool reserves at least one CPU for its min actor).
+``AnnotateStage`` holds the language-ID model, perplexity LM, signal
+kernel, classifier, DSIR scorer and minhash permutations (all loaded
+once in ``__init__``) and computes the full annotation row-set in a
+single pass per batch.
+
+The default plan runs it as Ray Data *tasks* through
+``CachedAnnotateStage``: a small picklable callable that builds the
+stage at most once per worker process and keeps it in a module-level
+cache, keyed by a digest taken on the driver. Ray then fuses
+ids -> annotate -> write into one task chain that uses every CPU,
+starts no actor and hands no batch between operators. The ``pairs``
+plan still runs ``AnnotateStage`` in an actor pool behind
+``ModelPairStage``.
 
 The per-model stages in ``langid.py`` / ``perplexity.py`` / ``signals.py``
 / ``minhash.py`` remain available for heterogeneous scaling (e.g. give
-the perplexity pool more actors than langid on a real cluster) — both
-paths produce identical columns (tested).
+the perplexity pool more actors than langid on a real cluster) — every
+plan produces identical columns (tested).
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
+from typing import Dict
 
 import pyarrow as pa
 
@@ -176,7 +186,8 @@ class AnnotateStage:
             self.dsir = None
         # the per-doc kernels churn small acyclic objects (tuples, str
         # slices); cyclic-GC passes add pure overhead in a long-lived
-        # actor, so freeze the model state and relax the thresholds
+        # actor or cached task-worker stage, so freeze the model state
+        # and relax the thresholds
         import gc
 
         gc.collect()
@@ -316,3 +327,54 @@ class AnnotateStage:
             cols["keep"] = pa.array(keeps, pa.bool_())
             cols["drop_reasons"] = pa.array(reasons, pa.list_(pa.string()))
         return pa.table(cols)
+
+
+# AnnotateStage instances of this worker process, least recently used
+# first. A stage is ~10 MB; two entries cover a job that alternates
+# between two configurations without growing with the job's history.
+_STAGE_CACHE: Dict[str, AnnotateStage] = {}
+_STAGE_CACHE_SIZE = 2
+
+
+def _file_stamp(path: str):
+    """(size, mtime_ns) of a model file; None when it is missing (the
+    stage's own load then raises the real error)."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_size, st.st_mtime_ns
+
+
+def stage_cache_key(stage_kwargs: dict) -> str:
+    """Digest of ``AnnotateStage`` constructor kwargs plus the
+    ``(size, mtime_ns)`` of every model file they name, so a changed
+    config or a model rewritten at the same path never reuses a stale
+    stage. Taken once, when the plan is built."""
+    from ray import cloudpickle
+
+    items = sorted(stage_kwargs.items())
+    stamps = [
+        (k, _file_stamp(v)) for k, v in items if k.endswith("_model_path") and v
+    ]
+    return hashlib.sha256(cloudpickle.dumps((items, stamps))).hexdigest()
+
+
+class CachedAnnotateStage:
+    """``AnnotateStage`` for a task ``map_batches``: the instance ships
+    with every task, carrying only the constructor kwargs and their
+    cache key; the stage itself is built on a worker's first batch and
+    reused by every later task that worker runs with the same key."""
+
+    def __init__(self, **stage_kwargs):
+        self.stage_kwargs = stage_kwargs
+        self.key = stage_cache_key(stage_kwargs)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        stage = _STAGE_CACHE.pop(self.key, None)
+        if stage is None:
+            stage = AnnotateStage(**self.stage_kwargs)
+        _STAGE_CACHE[self.key] = stage  # most recently used last
+        while len(_STAGE_CACHE) > _STAGE_CACHE_SIZE:
+            del _STAGE_CACHE[next(iter(_STAGE_CACHE))]
+        return stage(batch)

@@ -68,6 +68,42 @@ def test_profile_blocking_invariance_and_hll_accuracy():
     assert np.isnan(q.loc["s", "p50"])  # string column: no quantiles
 
 
+def test_profile_bigint_min_max_order_invariant():
+    """int64/uint64 values above 2**53 collapse under float(); the
+    merged min/max must still be exact whichever block merges first."""
+    from redpajama_data_ray.functions.profile import (
+        _finalize,
+        _merge_partials,
+        _new_agg,
+        _partials,
+    )
+
+    lo, hi = 2**60 + 1, 2**60 + 2  # float(lo) == float(hi)
+    blocks = [
+        pa.table({"i": pa.array([hi], pa.int64()),
+                  "u": pa.array([2**63 + 2], pa.uint64())}),
+        pa.table({"i": pa.array([lo], pa.int64()),
+                  "u": pa.array([2**63 + 1], pa.uint64())}),
+    ]
+    parts = [_partials(["i", "u"], 12)(b) for b in blocks]
+    results = []
+    for order in (parts, parts[::-1]):
+        agg = _new_agg(["i", "u"], 12)
+        for part in order:
+            _merge_partials(agg, part)
+        results.append(
+            _finalize(agg, ["i", "u"])
+            .select(["column", "min_repr", "max_repr"])
+            .to_pylist()
+        )
+    assert results[0] == results[1]
+    assert results[0] == [
+        {"column": "i", "min_repr": str(lo), "max_repr": str(hi)},
+        {"column": "u", "min_repr": str(2**63 + 1),
+         "max_repr": str(2**63 + 2)},
+    ]
+
+
 def test_profile_dirty_inputs():
     t = pa.table(
         {

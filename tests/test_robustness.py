@@ -70,6 +70,52 @@ def test_actor_death_mid_run_recovers(tmp_path):
     assert (tmp_path / "crashed_once").exists()  # the kill really fired
 
 
+def test_worker_loss_on_fused_task_plan(tmp_path):
+    """The default plan runs annotation as tasks on shared workers, so
+    a lost worker takes its cached stage with it: the retried task must
+    rebuild it elsewhere and the run return every row. The crash sits
+    in a registered plugin signal, which the fused stage calls on every
+    batch (file sentinel: exactly once per run)."""
+    from redpajama_data_ray.functions.registry import (
+        register_signal,
+        unregister_signal,
+    )
+
+    sentinel = str(tmp_path / "crashed_once")
+
+    @register_signal("rps_doc_crash_once", pa.float64())
+    def crash_once(texts):
+        try:
+            os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL))
+            os._exit(1)  # SIGKILL-grade death: no cleanup path
+        except FileExistsError:
+            pass
+        return [float(len(t)) for t in texts]
+
+    n = 80
+    t = pa.table(
+        {
+            "repo": ["r"] * n,
+            "path": [f"f{i}.py" for i in range(n)],
+            "commit": ["c"] * n,
+            "lang": ["python"] * n,
+            "content": [f"def f{i}():\n    return {i}\n" for i in range(n)],
+        }
+    )
+    try:
+        out = annotate(
+            ray.data.from_arrow(t).repartition(4),
+            QualityConfig(include_line_signals=False),
+        ).to_pandas()
+    finally:
+        unregister_signal("rps_doc_crash_once")
+    assert len(out) == n
+    assert sorted(out.path) == sorted(f"f{i}.py" for i in range(n))
+    assert out.keep.notna().all()
+    assert (out.rps_doc_crash_once == out.n_chars).all()
+    assert os.path.exists(sentinel)  # the kill really fired
+
+
 def test_poison_rows_survive_full_pipeline():
     rows = [
         ("r", "null.py", "c0", None),                      # null content
