@@ -12,8 +12,9 @@ Default (fused) plan — annotation runs as Ray Data tasks:
 
 Ray fuses ids -> annotate -> the caller's write into one task chain, so
 every CPU annotates and no batch passes between operators. Each worker
-process builds its ``AnnotateStage`` once and keeps it in a small cache
-(stages/annotate.py); nothing starts an actor.
+process builds its ``AnnotateStage`` once and keeps it in a one-stage
+slot for the rest of the Ray session (stages/annotate.py); nothing
+starts an actor.
 
 ``fused="pairs"`` runs two actor pools (langid + perplexity, then the
 kernels); ``fused=False`` runs one pool per model (LangIdStage ->
@@ -101,7 +102,9 @@ class QualityConfig:
     # .bin / .npy log-odds for the quality classifier. Loaded once per
     # worker process (fused) or actor (pools) via
     # functions/model_loading.py (dependency-free readers when the real
-    # packages are absent).
+    # packages are absent). The fused plan keeps one copy in every task
+    # worker that annotates (up to one per CPU) until the Ray session
+    # ends; the pools free theirs when the run ends.
     langid_model_path: Optional[str] = None
     ppl_model_path: Optional[str] = None
     classifier_model_path: Optional[str] = None
@@ -251,6 +254,8 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
             AnnotateStage,
             fn_constructor_kwargs=dict(
                 use_model_columns=True,
+                # the actor owns its process
+                tune_gc=True,
                 include_minhash=cfg.include_minhash,
                 minhash_shingle_hash=cfg.minhash_shingle_hash,
                 include_scrub=True,

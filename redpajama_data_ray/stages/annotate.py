@@ -8,7 +8,7 @@ single pass per batch.
 The default plan runs it as Ray Data *tasks* through
 ``CachedAnnotateStage``: a small picklable callable that builds the
 stage at most once per worker process and keeps it in a module-level
-cache, keyed by a digest taken on the driver. Ray then fuses
+slot, keyed by a digest taken on the driver. Ray then fuses
 ids -> annotate -> write into one task chain that uses every CPU,
 starts no actor and hands no batch between operators. The ``pairs``
 plan still runs ``AnnotateStage`` in an actor pool behind
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict
+from typing import Optional
 
 import pyarrow as pa
 
@@ -86,12 +86,18 @@ class AnnotateStage:
         classifier_model_path=None,
         use_model_columns: bool = False,
         minhash_shingle_hash: str = "sha1",
+        tune_gc: bool = False,
     ):
         """``*_model_path``: optional user-supplied model artifacts
         (fastText ``.bin`` / KenLM binary via try-import hooks, or this
         repo's ``.npz``/``.npy`` offline formats — see
         functions/model_loading.py). They override both the embedded
-        stand-ins and any ``artifacts_dir`` equivalents."""
+        stand-ins and any ``artifacts_dir`` equivalents.
+
+        ``tune_gc``: freeze the loaded state and relax the cyclic-GC
+        thresholds. Both settings hold for the whole process, so only
+        an actor that owns its process sets it; never a stage built
+        in a shared task worker or the driver."""
         self.artifacts_dir = artifacts_dir
         self.text_column = text_column
         self.include_scrub = include_scrub
@@ -184,15 +190,16 @@ class AnnotateStage:
             self.dsir = DSIRScorer(tgt, src, lam_t, lam_s)
         else:
             self.dsir = None
-        # the per-doc kernels churn small acyclic objects (tuples, str
-        # slices); cyclic-GC passes add pure overhead in a long-lived
-        # actor or cached task-worker stage, so freeze the model state
-        # and relax the thresholds
-        import gc
+        if tune_gc:
+            # the per-doc kernels churn small acyclic objects (tuples,
+            # str slices); cyclic-GC passes add pure overhead in a
+            # long-lived actor, so freeze the model state and relax
+            # the thresholds
+            import gc
 
-        gc.collect()
-        gc.freeze()
-        gc.set_threshold(200_000, 100, 100)
+            gc.collect()
+            gc.freeze()
+            gc.set_threshold(200_000, 100, 100)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column(self.text_column).to_pylist()
@@ -329,11 +336,10 @@ class AnnotateStage:
         return pa.table(cols)
 
 
-# AnnotateStage instances of this worker process, least recently used
-# first. A stage is ~10 MB; two entries cover a job that alternates
-# between two configurations without growing with the job's history.
-_STAGE_CACHE: Dict[str, AnnotateStage] = {}
-_STAGE_CACHE_SIZE = 2
+# (cache key, AnnotateStage) of this worker process. One slot: every
+# caller runs one configuration per execution, and a worker never
+# holds two model sets at once.
+_STAGE_SLOT: "tuple[Optional[str], Optional[AnnotateStage]]" = (None, None)
 
 
 def _file_stamp(path: str):
@@ -364,17 +370,24 @@ class CachedAnnotateStage:
     """``AnnotateStage`` for a task ``map_batches``: the instance ships
     with every task, carrying only the constructor kwargs and their
     cache key; the stage itself is built on a worker's first batch and
-    reused by every later task that worker runs with the same key."""
+    reused by every later task that worker runs with the same key.
+
+    Memory: each task worker that runs annotate keeps one stage for
+    the rest of the Ray session, up to one per CPU (``max_actors``
+    caps the concurrent tasks). The built-in stand-in models take
+    ~12 MB a stage; with ``*_model_path`` files, every such worker
+    holds its own copy of each model."""
 
     def __init__(self, **stage_kwargs):
         self.stage_kwargs = stage_kwargs
         self.key = stage_cache_key(stage_kwargs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        stage = _STAGE_CACHE.pop(self.key, None)
-        if stage is None:
+        global _STAGE_SLOT
+        key, stage = _STAGE_SLOT
+        if key != self.key:
+            # free the old models before loading the new ones
+            _STAGE_SLOT = stage = None
             stage = AnnotateStage(**self.stage_kwargs)
-        _STAGE_CACHE[self.key] = stage  # most recently used last
-        while len(_STAGE_CACHE) > _STAGE_CACHE_SIZE:
-            del _STAGE_CACHE[next(iter(_STAGE_CACHE))]
+            _STAGE_SLOT = (self.key, stage)
         return stage(batch)

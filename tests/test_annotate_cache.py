@@ -6,6 +6,7 @@ The runs share one Ray session, so later runs land on task workers
 that already hold the earlier runs' stages; 12 blocks over the
 session's CPUs make every worker take part in every run."""
 
+import gc
 import os
 
 import numpy as np
@@ -17,7 +18,12 @@ from redpajama_data_ray.functions.model_loading import save_classifier_model
 from redpajama_data_ray.functions.rules import RuleConfig, decide_table
 from redpajama_data_ray.pipelines.quality import QualityConfig, annotate
 from redpajama_data_ray.sources.corpus import generate_corpus_table
-from redpajama_data_ray.stages.annotate import AnnotateStage, stage_cache_key
+from redpajama_data_ray.stages import annotate as annotate_mod
+from redpajama_data_ray.stages.annotate import (
+    AnnotateStage,
+    CachedAnnotateStage,
+    stage_cache_key,
+)
 
 _TABLE = generate_corpus_table(96, seed=17, include_big_file=False)
 
@@ -88,3 +94,54 @@ def test_model_rewritten_at_same_path_is_reloaded(tmp_path):
         assert got == want
         outs.append(got)
     assert outs[0] != outs[1]
+
+
+def test_cached_stage_leaves_process_gc_alone(monkeypatch):
+    """Task workers are shared with every later task of the session:
+    building and running the cached stage must not change the
+    process's GC thresholds or freeze its objects (only an actor,
+    which owns its process, opts in with ``tune_gc=True``)."""
+    monkeypatch.setattr(annotate_mod, "_STAGE_SLOT", (None, None))
+    before = gc.get_threshold(), gc.get_freeze_count()
+    out = CachedAnnotateStage(rules=RuleConfig(), include_scrub=True)(
+        _TABLE.select(["content"]).slice(0, 8)
+    )
+    assert out.num_rows == 8
+    assert (gc.get_threshold(), gc.get_freeze_count()) == before
+
+
+def test_task_workers_keep_default_gc():
+    """The same on the real fused plan: a plugin signal, called inside
+    the stage on every batch, reads its task worker's GC state after
+    that worker built its stage."""
+    from redpajama_data_ray.functions.registry import (
+        register_signal,
+        unregister_signal,
+    )
+
+    @register_signal("rps_doc_gc_gen0_threshold", pa.float64())
+    def gen0_threshold(texts):
+        import gc
+
+        return [float(gc.get_threshold()[0])] * len(texts)
+
+    @register_signal("rps_doc_gc_frozen", pa.float64())
+    def frozen(texts):
+        import gc
+
+        return [float(gc.get_freeze_count())] * len(texts)
+
+    @ray.remote
+    def worker_gc():
+        import gc
+
+        return gc.get_threshold()[0], gc.get_freeze_count()
+
+    default_gen0, default_frozen = ray.get(worker_gc.remote())
+    try:
+        out = _run()
+    finally:
+        unregister_signal("rps_doc_gc_gen0_threshold")
+        unregister_signal("rps_doc_gc_frozen")
+    assert set(out["rps_doc_gc_gen0_threshold"].to_pylist()) == {default_gen0}
+    assert set(out["rps_doc_gc_frozen"].to_pylist()) == {default_frozen}
