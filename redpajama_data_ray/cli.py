@@ -225,10 +225,10 @@ def cmd_quality(args) -> dict:
 
             workers = max(1, args.resume_workers)
             # split the CPU budget across concurrent shard pipelines —
-            # each shard execution caps its own annotate tasks so the
-            # shards share the cluster instead of queueing on it
+            # each shard execution caps the CPUs of its own tasks so
+            # the shards share the cluster instead of queueing on it
             total = int(ray.cluster_resources().get("CPU", 4))
-            per_shard = max(1, (total - 2) // workers)
+            per_shard = max(1, total // workers)
             cfg = QualityConfig(max_actors=per_shard, **model_kwargs)
             committed = run_partitioned(
                 files,
@@ -260,7 +260,7 @@ def cmd_redecide(args) -> dict:
     import ray.data as rd
 
     from .functions.rules import RuleConfig, decide_table
-    from .pipelines.outputs import KEPT_COLUMNS
+    from .pipelines.outputs import with_narrow_sinks
 
     ds = rd.read_parquet(args.input)
     _require_columns(
@@ -303,9 +303,12 @@ def cmd_redecide(args) -> dict:
 
     out_annotated = os.path.join(args.output, "annotated")
     out_kept = os.path.join(args.output, "kept")
-    ds.map_batches(_decide, batch_format="pyarrow").write_parquet(
-        out_annotated
-    )
+    # one execution writes annotated/ and kept/
+    with_narrow_sinks(
+        ds.map_batches(_decide, batch_format="pyarrow"),
+        args.output,
+        sinks=("kept",),
+    ).write_parquet(out_annotated)
     full = rd.read_parquet(out_annotated)
 
     # drop-reason histogram: fixed-width per-batch partials (<= one
@@ -338,14 +341,6 @@ def cmd_redecide(args) -> dict:
     }
     kept_n = hist.pop("__kept__", 0)
     total = hist.pop("__total__", 0)
-
-    kept_cols = [c for c in KEPT_COLUMNS if c in full.schema().names]
-    rd.read_parquet(out_annotated, columns=kept_cols + ["keep"]).map_batches(
-        lambda t: t.filter(pc.equal(t["keep"], True)).drop_columns(
-            ["keep"]
-        ),
-        batch_format="pyarrow",
-    ).write_parquet(out_kept)
     return {
         "outputs": {"annotated": out_annotated, "kept": out_kept},
         "total": total,

@@ -8,13 +8,16 @@ Default (fused) plan — annotation runs as Ray Data tasks:
                                                   #  langid + perplexity +
                                                   #  signals + minhash +
                                                   #  PII scrub + keep/drop
-      -> write_parquet / dedup branches (caller)
+      -> caller: NarrowSinks + write_parquet      # pipelines/outputs.py
+         (or dedup branches)
 
-Ray fuses ids -> annotate -> the caller's write into one task chain, so
-every CPU annotates and no batch passes between operators. Each worker
-process builds its ``AnnotateStage`` once and keeps it in a one-stage
-slot for the rest of the Ray session (stages/annotate.py); nothing
-starts an actor.
+Ray fuses ids -> annotate -> the caller's task steps and write into one
+task chain, so every CPU annotates and no batch passes between
+operators. ``QualityConfig.max_actors`` caps that chain through a CPU
+limit on the execution rather than a per-operator pool size, which a
+write could not match. Each worker process builds its
+``AnnotateStage`` once and keeps it in a one-stage slot for the rest of
+the Ray session (stages/annotate.py); nothing starts an actor.
 
 ``fused="pairs"`` runs two actor pools (langid + perplexity, then the
 kernels); ``fused=False`` runs one pool per model (LangIdStage ->
@@ -23,10 +26,11 @@ heterogeneous per-stage scaling. Every plan emits identical columns
 (tests/test_registry_and_paths.py::test_fused_and_unfused_paths_match).
 
 Everything streams; nothing materializes the corpus. Filtering
-(``keep``) and dedup branches are applied by the caller so the annotated
-dataset can feed multiple sinks (signals parquet, kept corpus, minhash
-parquet) from one pass, mirroring the reference's triple output
-(/root/reference/app/src/core/worker.py:291-356).
+(``keep``) and dedup branches are applied by the caller.
+``pipelines/outputs.write_outputs`` writes the annotated parquet and,
+from the same tasks, the signals, minhash and kept-corpus sinks,
+mirroring the reference's per-shard triple output (reference
+app/src/core/worker.py:291-356).
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import pyarrow as pa
 import ray.data
 from ray.data import Dataset
 
@@ -79,8 +82,9 @@ class QualityConfig:
     # content_truncated column. Off by default — truncation changes
     # signal values for the affected rows.
     max_content_chars: Optional[int] = None
-    # fused plan: cap on concurrent annotate tasks (None -> Ray runs one
-    # per free CPU). Pool plans: the actor budget (None -> num_cpus - 2,
+    # fused plan: cap on the CPUs of the whole execution, so on its
+    # concurrent annotate tasks (None -> Ray runs one per free CPU).
+    # Pool plans: the actor budget (None -> num_cpus - 2,
     # the reference's sizing: pipeline.py:334 uses cpu_count-2 worker
     # processes), never more than num_cpus - 1 CPUs
     max_actors: Optional[int] = None
@@ -165,15 +169,19 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
         # should pass override_num_blocks at the read instead — no barrier)
         ds = ds.repartition(cfg.num_blocks)
     fused = cfg.fused not in (False, "pairs")
-    # the fused plan's task operators share one batch size and one
-    # concurrency cap, the conditions for Ray to fuse them with the
-    # annotate task into a single task chain
-    if fused:
-        task_args = dict(
-            batch_size=cfg.actor_batch_size, concurrency=cfg.max_actors
-        )
-    else:
-        task_args = dict(batch_size=cfg.batch_size)
+    # the fused plan's task operators share one batch size and set no
+    # per-operator concurrency (Ray fuses task maps only when their
+    # pool sizes match, and a write has none), so they fuse with the
+    # annotate task and the caller's write into a single task chain
+    task_args = dict(
+        batch_size=cfg.actor_batch_size if fused else cfg.batch_size
+    )
+    if fused and cfg.max_actors:
+        # the cap is a CPU limit of the whole execution instead, which
+        # every operator shares. Ray keeps it on the dataset's
+        # context, the one context of the whole lineage (``ds`` too)
+        opts = ds.context.execution_options
+        opts.resource_limits = opts.resource_limits.copy(cpu=cfg.max_actors)
     if cfg.max_content_chars is not None:
         cap = cfg.max_content_chars
 
@@ -402,10 +410,3 @@ def run_flagship(
     """End-to-end annotated corpus for a scale factor (lazy)."""
     return annotate(read_corpus(sf_dir), cfg)
 
-
-def kept(ds: Dataset) -> Dataset:
-    """The retained, scrubbed corpus (keep == True)."""
-    return ds.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["keep"], True)),
-        batch_format="pyarrow",
-    )

@@ -133,8 +133,10 @@ def _count_rows(part_dir: str) -> int:
 
 def partition_quality_metrics(part_dir: str) -> dict:
     """Per-partition lineage metrics from a written annotated partition:
-    kept/dropped counts, per-drop-reason counts, language distribution.
-    Reads only the three needed columns from the parquet footprint."""
+    kept/dropped counts (a null ``keep`` counts as dropped), per-drop-
+    reason counts, language distribution. Reads only the three needed
+    columns from the parquet footprint and counts with Arrow compute."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     kept = dropped = 0
@@ -153,22 +155,27 @@ def partition_quality_metrics(part_dir: str) -> dict:
             continue
         t = pf.read(columns=cols)
         if "keep" in cols:
-            flags = t.column("keep").to_pylist()
-            kept += sum(1 for k in flags if k)
-            dropped += sum(1 for k in flags if not k)
+            n = pc.sum(t.column("keep")).as_py() or 0
+            kept += n
+            dropped += t.num_rows - n
         if "drop_reasons" in cols:
-            for rs in t.column("drop_reasons").to_pylist():
-                for r in rs or []:
-                    reasons[r] = reasons.get(r, 0) + 1
+            _add_counts(reasons, pc.list_flatten(t.column("drop_reasons")))
         if "lang_pred" in cols:
-            for lang in t.column("lang_pred").to_pylist():
-                langs[lang] = langs.get(lang, 0) + 1
+            _add_counts(langs, t.column("lang_pred"))
     return {
         "kept": kept,
         "dropped": dropped,
         "drop_reasons": reasons,
         "languages": langs,
     }
+
+
+def _add_counts(acc: Dict, values) -> None:
+    vc = values.value_counts()
+    for v, n in zip(
+        vc.field("values").to_pylist(), vc.field("counts").to_pylist()
+    ):
+        acc[v] = acc.get(v, 0) + n
 
 
 def _stabilize_fsspec_http_import() -> None:

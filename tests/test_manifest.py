@@ -74,3 +74,40 @@ def test_manifest_commit_atomic(tmp_path):
     assert rec["committed_at"] > 0
     # no stray tmp files
     assert not [f for f in os.listdir(m.manifest_dir) if f.endswith(".tmp")]
+
+
+def test_partition_quality_metrics_counts(tmp_path):
+    """Counts over two files with a null keep, null and empty
+    drop_reasons and null lang_pred; a file without the columns and a
+    non-parquet file are skipped. A null keep counts as dropped."""
+    from redpajama_data_ray.state.manifest import partition_quality_metrics
+
+    reasons = pa.list_(pa.string())
+    pq.write_table(
+        pa.table(
+            {
+                "keep": pa.array([True, False, None], pa.bool_()),
+                "drop_reasons": pa.array([[], ["a", "b"], None], reasons),
+                "lang_pred": pa.array(["en", None, "en"], pa.string()),
+            }
+        ),
+        str(tmp_path / "p0.parquet"),
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "keep": pa.array([True, False], pa.bool_()),
+                "drop_reasons": pa.array([[], ["a"]], reasons),
+                "lang_pred": pa.array([None, "fr"], pa.string()),
+            }
+        ),
+        str(tmp_path / "p1.parquet"),
+    )
+    pq.write_table(pa.table({"x": [1]}), str(tmp_path / "p2.parquet"))
+    (tmp_path / "notes.txt").write_text("not parquet")
+    assert partition_quality_metrics(str(tmp_path)) == {
+        "kept": 2,
+        "dropped": 3,
+        "drop_reasons": {"a": 2, "b": 1},
+        "languages": {"en": 2, None: 2, "fr": 1},
+    }
