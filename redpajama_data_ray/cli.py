@@ -999,11 +999,13 @@ def cmd_pack(args) -> dict:
         # pack_summaries)
         from .functions.packing import pack_summaries
 
-        if getattr(args, "corpus_path", None) and args.max_docs:
-            raise SystemExit(
-                "--corpus-path requires the input read unmodified "
-                "(same rows as the files) — drop --max-docs"
-            )
+        if getattr(args, "corpus_path", None):
+            if args.max_docs:
+                raise SystemExit(
+                    "--corpus-path requires the input read unmodified "
+                    "(same rows as the files) — drop --max-docs"
+                )
+            _check_same_parquet(args.input, args.corpus_path)
         try:
             out = pack_summaries(
                 ds, seq_len=args.seq_len, n_buckets=args.n_buckets,
@@ -1034,6 +1036,49 @@ def cmd_pack(args) -> dict:
         )
     out.write_parquet(args.output)
     return {"output": args.output}
+
+
+def _check_same_parquet(input_path: str, corpus_path: str) -> None:
+    """Refuse a ``--corpus-path`` that is not the ``--input`` data: the
+    segjoin re-read takes each document's text from the corpus files
+    by id, so a copy whose text differs at the same ids would silently
+    give wrong windows. The two must be the same files (same real
+    paths) or byte-identical ones (size, then sha256), paired in
+    sorted order."""
+    import hashlib
+
+    import pyarrow.dataset as pads
+
+    def files(path):
+        if os.path.isfile(path):
+            return [path]
+        return sorted(pads.dataset(path, format="parquet").files)
+
+    def sha256(path):
+        h = hashlib.sha256()
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+        return h.digest()
+
+    if os.path.realpath(input_path) == os.path.realpath(corpus_path):
+        return
+    ours, theirs = files(input_path), files(corpus_path)
+    same = len(ours) == len(theirs) and all(
+        os.path.realpath(a) == os.path.realpath(b)
+        or (
+            os.path.getsize(a) == os.path.getsize(b)
+            and sha256(a) == sha256(b)
+        )
+        for a, b in zip(ours, theirs)
+    )
+    if not same:
+        raise SystemExit(
+            f"--corpus-path {corpus_path!r} is not the --input data "
+            f"{input_path!r}: the segjoin re-read takes each window's "
+            "text from the corpus files, so they must be the same "
+            "files or byte-identical copies"
+        )
 
 
 def cmd_chunk(args) -> dict:

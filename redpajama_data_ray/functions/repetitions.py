@@ -108,6 +108,90 @@ def repetition_signals(norm_words: Sequence[str]) -> Dict[str, float]:
     return out
 
 
+def repetition_signals_batch(
+    labels: np.ndarray,
+    counts: np.ndarray,
+    codes: np.ndarray,
+    word_lens: np.ndarray,
+    bounds: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """:func:`repetition_signals` of every document of a batch at once.
+
+    The batch's words are one array (document i holds
+    ``bounds[i]:bounds[i + 1]``): ``codes`` names each word, ``labels``
+    names each (document, word) pair densely and ``counts`` holds that
+    pair's count, so level 1 comes from the caller's one ``np.unique``.
+    Level n packs the level-(n-1) label of a window with the code of its
+    last word, as the per-document path does, but only for candidate
+    windows: a window can repeat only if both of its (n-1)-grams repeat,
+    so every other window has count 1 and is never sorted. Returns one
+    float64 array per signal, values equal to the per-document path."""
+    n_docs = len(bounds) - 1
+    out = {
+        name: np.zeros(n_docs, dtype=np.float64)
+        for name in _TOP_NAMES + _DUPE_NAMES
+    }
+    n_words = len(codes)
+    doc = np.repeat(np.arange(n_docs), np.diff(bounds))
+    cum = np.concatenate(([0], np.cumsum(word_lens)))
+    total_chars = cum[bounds[1:]] - cum[bounds[:-1]]
+    s32 = np.uint64(32)
+    for n in range(2, 11):
+        m = n_words - n + 1
+        if m <= 0:
+            break
+        cand = (
+            (counts[:m] > 1)
+            & (counts[1 : m + 1] > 1)
+            & (doc[:m] == doc[n - 1 :])
+        )
+        pos = np.flatnonzero(cand)
+        keys = (labels[pos].astype(np.uint64) << s32) | codes[
+            pos + n - 1
+        ].astype(np.uint64)
+        _, inv, cnt = np.unique(
+            keys, return_inverse=True, return_counts=True
+        )
+        per_window = cnt[inv]
+        rep = per_window > 1
+        if not rep.any():
+            # no repeated n-gram: none of any longer n either
+            break
+        starts, top = pos[rep], per_window[rep]
+        name = _TOP_NAMES[n - 2] if n <= 4 else _DUPE_NAMES[n - 5]
+        if n <= 4:
+            # per document the most frequent window, earliest first
+            # (Counter.most_common's tie-break)
+            order = np.lexsort((starts, -top, doc[starts]))
+            starts, top = starts[order], top[order]
+            d = doc[starts]
+            first = np.concatenate(([True], d[1:] != d[:-1]))
+            fi, top, d = starts[first], top[first], d[first]
+            chars = (cum[fi + n] - cum[fi]) * top
+            out[name][d] = [
+                _round(c / t)
+                for c, t in zip(chars.tolist(), total_chars[d].tolist())
+            ]
+        else:
+            # words covered by any repeated window, weighted by length
+            cover = np.bincount(starts, minlength=n_words + 1) - np.bincount(
+                starts + n, minlength=n_words + 1
+            )
+            covered = np.where(np.cumsum(cover[:-1]) > 0, word_lens, 0)
+            dup = np.concatenate(([0], np.cumsum(covered)))
+            dup = dup[bounds[1:]] - dup[bounds[:-1]]
+            d = np.unique(doc[starts])
+            out[name][d] = [
+                _round(c / t)
+                for c, t in zip(dup[d].tolist(), total_chars[d].tolist())
+            ]
+        labels = np.zeros(m, dtype=np.int64)
+        labels[pos] = inv
+        counts = np.zeros(m, dtype=np.int64)
+        counts[pos] = per_window
+    return out
+
+
 # back-compat alias (the old split fast path was merged into
 # repetition_signals; parity tests exercise this name)
 _repetition_signals_vectorized = repetition_signals

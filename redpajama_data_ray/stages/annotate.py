@@ -2,8 +2,16 @@
 
 ``AnnotateStage`` holds the language-ID model, perplexity LM, signal
 kernel, classifier, DSIR scorer and minhash permutations (all loaded
-once in ``__init__``) and computes the full annotation row-set in a
-single pass per batch.
+once in ``__init__``) and computes the full annotation row-set in one
+call per batch. The models (language ID, perplexity, minhash, PII
+scrub) run per document; the doc signals, line signals and the
+classifier / DSIR token hashes run over the whole batch, one column at
+a time, through ``functions.doc_signals.BatchView`` (one word
+dictionary per batch, each row reading the stop-word and LDNOOBW
+tables of its predicted language); keep/drop is one ``decide_table``
+over the built columns. The per-document ``DocView`` +
+``SignalKernel`` path, ``importance.token_hashes`` and the scalar
+``rules.decide`` are the oracles the batch path is tested against.
 
 The default plan runs it as Ray Data *tasks* through
 ``CachedAnnotateStage``: a small picklable callable that builds the
@@ -26,13 +34,13 @@ import hashlib
 import os
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 
 from ..functions.classifier import QualityClassifier
 from ..functions.doc_signals import (
     DOC_SIGNAL_NAMES,
-    LINE_SIGNAL_NAMES,
-    DocView,
+    BatchView,
     SignalKernel,
 )
 from ..functions.importance import DSIRScorer, build_hash_dist
@@ -202,15 +210,11 @@ class AnnotateStage:
             gc.set_threshold(200_000, 100, 100)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_column).to_pylist()
+        texts = [
+            t if t is not None else ""
+            for t in batch.column(self.text_column).to_pylist()
+        ]
         n = len(texts)
-
-        doc_cols = {name: [None] * n for name in DOC_SIGNAL_NAMES}
-        line_cols = (
-            {name: [None] * n for name in LINE_SIGNAL_NAMES}
-            if self.include_line_signals
-            else {}
-        )
         if self.use_model_columns:
             langs = batch.column("lang_pred").to_pylist()
             lang_scores = batch.column("lang_score").to_pylist()
@@ -218,10 +222,24 @@ class AnnotateStage:
             buckets = batch.column("ppl_bucket").to_pylist()
             bucket_ints = batch.column("ppl_bucket_int").to_pylist()
         else:
-            langs, lang_scores = [None] * n, [None] * n
-            ppls, buckets, bucket_ints = (
-                [None] * n, [None] * n, [None] * n,
-            )
+            preds = [self.langid.predict(t) for t in texts]
+            langs = [lang for lang, _ in preds]
+            lang_scores = [score for _, score in preds]
+            scores = [self.pplx.score(t) for t in texts]
+            ppls = [ppl for ppl, _ in scores]
+            buckets = [bucket for _, bucket in scores]
+            bucket_ints = [BUCKET_TO_INT.get(b) for b in buckets]
+
+        # doc and line signals over the whole batch; each row reads the
+        # stop-word / LDNOOBW tables of its predicted language (en for
+        # any other)
+        view = BatchView(texts)
+        order = {lang: j for j, lang in enumerate(self.kernels)}
+        kernel_idx = np.array(
+            [order.get(lang, order["en"]) for lang in langs], dtype=np.int64
+        )
+        doc_cols = view.doc_signals(list(self.kernels.values()), kernel_idx)
+
         clf = [None] * n if self.classifier else None
         dsir = [None] * n if self.dsir else None
         sig_cols = (
@@ -229,52 +247,19 @@ class AnnotateStage:
             if self.hasher
             else {}
         )
-
-        # in-actor scrub + keep/drop state (the per-row loop computes
-        # everything so the output table is built exactly once)
         do_scrub = self.include_scrub
-        do_decide = self.rules is not None
         if do_scrub:
-            import hashlib
-
             from ..functions.pii import PII_COUNT_COLUMNS, scrub_text
 
             scrubbed = [None] * n
             scrub_sha = [None] * n
             pii_counts = {k: [0] * n for k in PII_COUNT_COLUMNS}
-        if do_decide:
-            from ..functions.rules import decide
-
-            keeps = [None] * n
-            reasons = [None] * n
 
         for i, t in enumerate(texts):
-            t = t if t is not None else ""
-            v = DocView(t)
-            if self.use_model_columns:
-                lang, ls = langs[i], lang_scores[i]
-                bucket = buckets[i]
-            else:
-                lang, ls = self.langid.predict(t)
-                langs[i], lang_scores[i] = lang, ls
-            kernel = self.kernels.get(lang, self.kernel)
-            doc = kernel.doc_signals_view(v)
-            for name in DOC_SIGNAL_NAMES:
-                doc_cols[name][i] = doc[name]
-            if self.include_line_signals:
-                lines = kernel.line_signals_view(v)
-                for name in LINE_SIGNAL_NAMES:
-                    line_cols[name][i] = lines[name]
-            if not self.use_model_columns:
-                ppl, bucket = self.pplx.score(t)
-                ppls[i], buckets[i] = ppl, bucket
-                bucket_ints[i] = BUCKET_TO_INT.get(bucket)
             if clf is not None or dsir is not None:
-                from ..functions.importance import token_hashes
-
-                hashes = token_hashes(v.raw_words)
+                hashes = view.token_hashes(i)
                 if clf is not None:
-                    if not t.strip():
+                    if view.n_raw[i] == 0:  # whitespace-only text
                         clf[i] = None
                     elif hasattr(self.classifier, "score_from_hashes"):
                         clf[i] = self.classifier.score_from_hashes(hashes)
@@ -283,24 +268,15 @@ class AnnotateStage:
                 if dsir is not None:
                     dsir[i] = self.dsir.score_from_hashes(hashes, len(t))
             if self.hasher:
-                sigs = self.hasher.banded_signatures(v.norm_words)
+                sigs = self.hasher.banded_signatures(view.norm_words[i])
                 for k in sig_cols:
                     sig_cols[k][i] = sigs[k]
-            row_pii = None
             if do_scrub:
                 s, c = scrub_text(t)
                 scrubbed[i] = s
                 scrub_sha[i] = hashlib.sha256(s.encode("utf-8")).hexdigest()
                 for k in PII_COUNT_COLUMNS:
                     pii_counts[k][i] = c[k]
-                row_pii = c
-            if do_decide:
-                row = {name: doc_cols[name][i] for name in DOC_SIGNAL_NAMES}
-                row["lang_score"] = ls
-                row["ppl_bucket"] = bucket
-                if row_pii:
-                    row.update(row_pii)
-                keeps[i], reasons[i] = decide(row, self.rules)
 
         cols = {name: batch.column(name) for name in batch.schema.names}
         if do_scrub:
@@ -310,10 +286,9 @@ class AnnotateStage:
         cols["ppl"] = pa.array(ppls, pa.float64())
         cols["ppl_bucket"] = pa.array(buckets, pa.string())
         cols["ppl_bucket_int"] = pa.array(bucket_ints, pa.float64())
-        for name in DOC_SIGNAL_NAMES:
-            cols[name] = pa.array(doc_cols[name], pa.float64())
-        for name in line_cols:
-            cols[name] = pa.array(line_cols[name], pa.list_(pa.float64()))
+        cols.update(doc_cols)
+        if self.include_line_signals:
+            cols.update(view.line_signals())
         if clf is not None:
             cols["rps_doc_ml_quality_score"] = pa.array(clf, pa.float64())
         if dsir is not None:
@@ -322,16 +297,24 @@ class AnnotateStage:
             cols[k] = pa.array(sig_cols[k], pa.list_(pa.binary()))
         # user-registered plugin signals (registry = schema source of
         # truth, SURVEY.md §2.10)
-        if self.extra_signals:
-            safe_texts = [t if t is not None else "" for t in texts]
-            for sig in self.extra_signals:
-                cols[sig.name] = pa.array(sig.fn(safe_texts), sig.dtype)
+        for sig in self.extra_signals:
+            cols[sig.name] = pa.array(sig.fn(texts), sig.dtype)
         if do_scrub:
             for k in PII_COUNT_COLUMNS:
                 cols[k] = pa.array(pii_counts[k], pa.int64())
             cols["content_scrubbed_sha256"] = pa.array(scrub_sha, pa.string())
-        if do_decide:
-            cols["keep"] = pa.array(keeps, pa.bool_())
+        if self.rules is not None:
+            # keep/drop over the signals this call computed (the input
+            # batch's own columns take no part, as in the scalar rule)
+            from ..functions.rules import decide_table
+
+            names = list(DOC_SIGNAL_NAMES) + ["lang_score", "ppl_bucket"]
+            if do_scrub:
+                names += PII_COUNT_COLUMNS
+            keep, reasons = decide_table(
+                pa.table({k: cols[k] for k in names}), self.rules
+            )
+            cols["keep"] = pa.array(keep, pa.bool_())
             cols["drop_reasons"] = pa.array(reasons, pa.list_(pa.string()))
         return pa.table(cols)
 

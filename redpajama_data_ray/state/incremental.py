@@ -37,10 +37,30 @@ from ray.data import Dataset
 DEFAULT_STATE_BROADCAST_LIMIT = 5_000_000
 
 
-def _keys_dir(state_dir: str) -> str:
+# the key state stores only a ``key`` column, so the stamp names the
+# input column it came from and its Arrow type: keys taken from
+# another column (path strings against sha256 hex strings) never
+# match, and a run over them would silently keep every duplicate
+EXACT_KEY_FORMAT = "exact-keys-v1"
+
+
+def _keys_dir(
+    state_dir: str, key: "str | None" = None, key_type=None
+) -> str:
+    """The key state directory; with ``key`` given, stamped with (or
+    checked against) that key column's name and Arrow type."""
     d = os.path.join(state_dir, "keys")
-    os.makedirs(d, exist_ok=True)
-    return d
+    if key is None:
+        os.makedirs(d, exist_ok=True)
+        return d
+    # string and large_string keys compare alike
+    type_name = str(key_type).replace("large_", "")
+    return _stamped_dir(
+        d,
+        f"{EXACT_KEY_FORMAT} key={key} type={type_name}",
+        "exact-dedup state dir",
+        "key column",
+    )
 
 
 def _list_state(d: str, exclude_run_id: "str | None" = None):
@@ -100,6 +120,7 @@ def incremental_exact_dedup(
 
         run_id = uuid.uuid4().hex[:12]
 
+    _keys_dir(state_dir, key, ds.schema().base_schema.field(key).type)
     within = exact_dedup(
         ds, key=key, order_col=order_col, num_partitions=num_partitions
     )
@@ -226,9 +247,6 @@ def commit_run_keys(
     """Append the run's surviving keys to the state (atomic rename;
     rerunning the same run_id overwrites — idempotent resume)."""
     _check_run_id(run_id)
-    d = _keys_dir(state_dir)
-    tmp = os.path.join(d, f".{run_id}.parquet.tmp")
-    final = os.path.join(d, f"{run_id}.parquet")
     tables = [
         b
         for b in deduped.select_columns([key]).iter_batches(
@@ -247,6 +265,9 @@ def commit_run_keys(
         except Exception:
             key_type = pa.string()
         col = pa.array([], key_type)
+    d = _keys_dir(state_dir, key, col.type)
+    tmp = os.path.join(d, f".{run_id}.parquet.tmp")
+    final = os.path.join(d, f"{run_id}.parquet")
     pq.write_table(pa.table({"key": col}), tmp)
     os.replace(tmp, final)
     return final

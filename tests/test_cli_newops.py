@@ -292,3 +292,45 @@ def test_cli_token_budget_derives_n_chars_on_raw_corpus(
     with pytest.raises(SystemExit, match="missing column"):
         main(["token-budget", "--input", str(d), "--output", out,
               "--budget", "10", "--token-column", "n_tokens"])
+
+
+def _pack_summaries(src, out, corpus):
+    return main(
+        ["pack", "--input", src, "--output", out, "--seq-len", "16",
+         "--n-buckets", "2", "--text-column", "text",
+         "--summaries-only", "--seg-delivery", "segjoin",
+         "--corpus-path", corpus]
+    )
+
+
+def test_cli_pack_corpus_path_must_match_input(tmp_path, capsys):
+    """The segjoin re-read takes each window's text from --corpus-path
+    by id: a directory whose text differs from --input at the same id
+    is refused before any output; a byte-identical copy is accepted
+    and packs the same windows as the input itself."""
+    import shutil
+
+    src = _docs_dir(tmp_path)
+    same = str(tmp_path / "same")
+    assert _pack_summaries(src, same, src) == 0
+    want = ray.data.read_parquet(_result(capsys)["output"]).to_pandas()
+
+    copy = tmp_path / "copy"
+    shutil.copytree(src, copy)
+    out = str(tmp_path / "from_copy")
+    assert _pack_summaries(src, out, str(copy)) == 0
+    got = ray.data.read_parquet(_result(capsys)["output"]).to_pandas()
+    keys = ["bucket", "seq_idx"]
+    assert got.sort_values(keys).reset_index(drop=True).equals(
+        want.sort_values(keys).reset_index(drop=True)
+    )
+
+    t = pq.read_table(str(copy / "a.parquet"))
+    text = t["text"].to_pylist()
+    text[7] = "tok7 alpha beta gamma CHANGED"  # same id, other text
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(text))
+    pq.write_table(t, str(copy / "a.parquet"))
+    out = str(tmp_path / "changed")
+    with pytest.raises(SystemExit, match="--corpus-path"):
+        _pack_summaries(src, out, str(copy))
+    assert not (tmp_path / "changed").exists()

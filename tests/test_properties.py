@@ -8,6 +8,7 @@ from redpajama_data_ray.functions.minhash import MinHasher
 from redpajama_data_ray.functions.pii import scrub_text
 from redpajama_data_ray.functions.rules import RULE_IDS, decide
 from redpajama_data_ray.text import normalize
+from text_strategies import adversarial_text
 
 _K = SignalKernel()
 _M = MinHasher(ngram_size=3)
@@ -31,7 +32,7 @@ def test_normalize_idempotent(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_text)
+@given(adversarial_text())
 def test_fraction_signals_in_unit_interval(s):
     sig = _K.doc_signals(s)
     for name in (
@@ -49,7 +50,7 @@ def test_fraction_signals_in_unit_interval(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_text)
+@given(adversarial_text())
 def test_dupe_fraction_monotone_in_n(s):
     sig = _K.doc_signals(s)
     vals = [sig[f"rps_doc_frac_chars_dupe_{n}grams"] for n in range(5, 11)]
@@ -78,7 +79,7 @@ def test_pii_scrub_idempotent(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_text)
+@given(adversarial_text())
 def test_decide_total_and_deterministic(s):
     sig = dict(_K.doc_signals(s))
     sig["lang_score"] = 0.9

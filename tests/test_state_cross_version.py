@@ -183,3 +183,58 @@ def test_vocab_state_lowercase_change_rejected(tmp_path, capsys):
              "--output", str(tmp_path / "o2"), "--state-dir", state,
              "--run-id", "r2", "--lowercase"]
         )
+
+
+def _keyed_input(d, rows):
+    """Exact-dedup input: (doc_id, path, content_sha256) rows."""
+    os.makedirs(d)
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": [r[0] for r in rows],
+                "path": [r[1] for r in rows],
+                "content_sha256": [r[2] for r in rows],
+            }
+        ),
+        os.path.join(d, "docs.parquet"),
+    )
+    return str(d)
+
+
+def test_exact_key_state_other_key_column_rejected(tmp_path, capsys):
+    """The key state keeps only a ``key`` column: keys committed from
+    --key content_sha256 compared against --key path values would
+    match nothing and keep every duplicate, so the state dir records
+    the key column and its type and refuses another."""
+    state = str(tmp_path / "state")
+    rows = [("d1", "a.py", "h1"), ("d2", "b.py", "h2")]
+    _run(
+        ["dedup-exact", "--input", _keyed_input(tmp_path / "in1", rows),
+         "--output", str(tmp_path / "o1"), "--state-dir", state,
+         "--run-id", "r1", "--key", "content_sha256",
+         "--order-col", "doc_id"],
+        capsys,
+    )
+    marker = os.path.join(state, "keys", "FORMAT")
+    assert open(marker).read() == (
+        "exact-keys-v1 key=content_sha256 type=string"
+    )
+    again = _keyed_input(tmp_path / "in2", rows)
+    out2 = str(tmp_path / "o2")
+    with pytest.raises(ValueError, match="key column"):
+        main(
+            ["dedup-exact", "--input", again, "--output", out2,
+             "--state-dir", state, "--run-id", "r2", "--key", "path",
+             "--order-col", "doc_id"]
+        )
+    assert not os.path.exists(out2)  # rejected before any write
+
+    # unstamped state from before the stamp is refused like band state
+    os.remove(marker)
+    with pytest.raises(ValueError, match="predates"):
+        main(
+            ["dedup-exact", "--input", again, "--output", out2,
+             "--state-dir", state, "--run-id", "r2",
+             "--key", "content_sha256", "--order-col", "doc_id"]
+        )
+    assert not os.path.exists(out2)
