@@ -830,13 +830,15 @@ def cmd_domain_cap(args) -> dict:
         )
         commit_run_quota_counts(
             group_kept_counts(written, args.group_column),
-            args.state_dir, run_id,
+            args.state_dir, run_id, group_col=args.group_column,
         )
         return {
             "rows": written.count(),
             "output": args.output,
             "run_id": run_id,
-            "state_rows": seen_quota_rows(args.state_dir),
+            "state_rows": seen_quota_rows(
+                args.state_dir, group_col=args.group_column
+            ),
         }
     try:
         out = cap_per_group(
@@ -954,13 +956,17 @@ def cmd_token_budget(args) -> dict:
             group_kept_tokens(
                 written, args.group_column, args.token_column
             ),
-            args.state_dir, run_id,
+            args.state_dir, run_id, token_col=args.token_column,
+            group_col=args.group_column,
         )
         return {
             "rows": written.count(),
             "output": args.output,
             "run_id": run_id,
-            "state_rows": seen_budget_rows(args.state_dir),
+            "state_rows": seen_budget_rows(
+                args.state_dir, token_col=args.token_column,
+                group_col=args.group_column,
+            ),
         }
     try:
         out = token_budget_sample(

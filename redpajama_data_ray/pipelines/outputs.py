@@ -8,8 +8,8 @@ Data execution writes all four sinks: ``NarrowSinks``, a task
 signals-only, minhash-only and kept-corpus tables of each batch with
 pyarrow and passes the batch on unchanged to the single
 ``write_parquet`` of the full annotated output. Ray fuses
-ids -> annotate -> NarrowSinks -> Write into one task per read block,
-so no sink reads the annotated parquet back.
+read -> ids -> annotate -> NarrowSinks -> Write into one task per read
+block, so no sink reads the annotated parquet back.
 
 A narrow file is named after the execution's write uuid, the task
 index and the batch's ordinal within its task (the shape of Ray's own

@@ -1,23 +1,32 @@
 """The flagship quality pipeline (SURVEY.md §7.1 architecture).
 
-Default (fused) plan — annotation runs as Ray Data tasks:
+Default (fused) plan — annotation runs as Ray Data tasks, one per
+read block:
 
     read_parquet(corpus, override_num_blocks=4*_default_actors())
-      -> map_batches(assign_ids)                  # task, batched like
-      -> map_batches(CachedAnnotateStage(...))    #  the annotate task:
+      -> map_batches(assign_ids)                  # whole blocks
+      -> map_batches(CachedAnnotateStage(...))    # whole blocks, cut into
+                                                  #  calls of <= 64 rows:
                                                   #  langid + perplexity +
                                                   #  signals + minhash +
                                                   #  PII scrub + keep/drop
       -> caller: NarrowSinks + write_parquet      # pipelines/outputs.py
          (or dedup branches)
 
-Ray fuses ids -> annotate -> the caller's task steps and write into one
-task chain, so every CPU annotates and no batch passes between
-operators. ``QualityConfig.max_actors`` caps that chain through a CPU
-limit on the execution rather than a per-operator pool size, which a
-write could not match. Each worker process builds its
-``AnnotateStage`` once and keeps it in a one-stage slot for the rest of
-the Ray session (stages/annotate.py); nothing starts an actor.
+Ray fuses the read, ids, annotate and the caller's task steps and
+write into ONE operator, ``ReadParquet->...->Write``, with one task per
+read block, so every CPU annotates and no block passes between
+operators (a read that splits files into more blocks than there are
+files, ``ReadParquet->SplitBlocks(k)``, stays its own operator: Ray
+fuses no split read). The lineage's context sets no ``target_max_block_size``:
+Ray then budgets no output for that operator's first task instead of
+2 x 128 MB, a guess that alone filled the operator's object-store
+share and held its other tasks back until the first returned.
+``QualityConfig.max_actors`` caps the tasks through a CPU limit on the
+execution rather than a per-operator pool size, which a write could
+not match. Each worker process builds its ``AnnotateStage`` once and
+keeps it in a one-stage slot for the rest of the Ray session
+(stages/annotate.py); nothing starts an actor.
 
 ``fused="pairs"`` runs two actor pools (langid + perplexity, then the
 kernels); ``fused=False`` runs one pool per model (LangIdStage ->
@@ -72,9 +81,10 @@ class QualityConfig:
 
     # batch of the task operators of the pool plans (ids, scrub, decide)
     batch_size: int = 256
-    # batch of the annotate stage, task or actor; the fused plan runs
-    # ids at this size too, so every read block becomes its own
-    # annotate task instead of being packed with its neighbours
+    # rows per annotate call, task or actor. The fused plan's maps take
+    # whole read blocks (each block is one task of the fused read ->
+    # write operator) and the task cuts its block into calls of at
+    # most this many rows, which bounds each call's row lists
     actor_batch_size: int = 64
     # giant-row guard (SURVEY §4: Ray splits oversized BLOCKS, but one
     # huge row still lands whole in an annotate call): when set, content
@@ -169,19 +179,34 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
         # should pass override_num_blocks at the read instead — no barrier)
         ds = ds.repartition(cfg.num_blocks)
     fused = cfg.fused not in (False, "pairs")
-    # the fused plan's task operators share one batch size and set no
+    # the fused plan's task maps take whole blocks and set no
     # per-operator concurrency (Ray fuses task maps only when their
-    # pool sizes match, and a write has none), so they fuse with the
-    # annotate task and the caller's write into a single task chain
-    task_args = dict(
-        batch_size=cfg.actor_batch_size if fused else cfg.batch_size
-    )
-    if fused and cfg.max_actors:
-        # the cap is a CPU limit of the whole execution instead, which
-        # every operator shares. Ray keeps it on the dataset's
-        # context, the one context of the whole lineage (``ds`` too)
-        opts = ds.context.execution_options
-        opts.resource_limits = opts.resource_limits.copy(cpu=cfg.max_actors)
+    # pool sizes match, and a write has none), so Ray fuses the read,
+    # ids, annotate and the caller's task steps and write into one
+    # task per read block; CachedAnnotateStage cuts each block into
+    # calls of at most ``actor_batch_size`` rows
+    task_args = dict(batch_size=None if fused else cfg.batch_size)
+    if fused:
+        # Ray keeps these on the dataset's context, the one context of
+        # the whole lineage (``ds`` too), so every operator shares them
+        ctx = ds.context
+        # before a task of an operator has returned, Ray budgets its
+        # pending output at 2 x target_max_block_size (256 MB by
+        # default). At a 512 MB store that guess alone fills the fused
+        # operator's object-store share, so its second task waited for
+        # its first, though a chain ending in a write returns one
+        # result row per block. With no target Ray makes no guess, at
+        # any store size, and budgets from the first measured output
+        # (at most one task per CPU runs before it). This lineage's
+        # blocks are then not split at 128 MB: a block is what one
+        # read task reads
+        ctx.target_max_block_size = None
+        if cfg.max_actors:
+            # the cap is a CPU limit of the whole execution instead
+            opts = ctx.execution_options
+            opts.resource_limits = opts.resource_limits.copy(
+                cpu=cfg.max_actors
+            )
     if cfg.max_content_chars is not None:
         cap = cfg.max_content_chars
 
@@ -214,6 +239,7 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
         # its cost), so the annotated rows leave the task finished
         return ds.map_batches(
             CachedAnnotateStage(
+                batch_rows=cfg.actor_batch_size,
                 include_minhash=cfg.include_minhash,
                 minhash_shingle_hash=cfg.minhash_shingle_hash,
                 include_scrub=True,

@@ -17,10 +17,10 @@ The default plan runs it as Ray Data *tasks* through
 ``CachedAnnotateStage``: a small picklable callable that builds the
 stage at most once per worker process and keeps it in a module-level
 slot, keyed by a digest taken on the driver. Ray then fuses
-ids -> annotate -> write into one task chain that uses every CPU,
-starts no actor and hands no batch between operators. The ``pairs``
-plan still runs ``AnnotateStage`` in an actor pool behind
-``ModelPairStage``.
+read -> ids -> annotate -> write into one task per read block, which
+uses every CPU, starts no actor and hands no batch between operators.
+The ``pairs`` plan still runs ``AnnotateStage`` in an actor pool
+behind ``ModelPairStage``.
 
 The per-model stages in ``langid.py`` / ``perplexity.py`` / ``signals.py``
 / ``minhash.py`` remain available for heterogeneous scaling (e.g. give
@@ -355,13 +355,19 @@ class CachedAnnotateStage:
     cache key; the stage itself is built on a worker's first batch and
     reused by every later task that worker runs with the same key.
 
+    ``batch_rows``: the fused plan hands it whole blocks, so that Ray
+    fuses the read with it; it cuts each into stage calls of at most
+    this many rows (None: one call per batch) and concatenates the
+    results, which keeps the per-call memory of the row lists bounded.
+
     Memory: each task worker that runs annotate keeps one stage for
     the rest of the Ray session, up to one per CPU (``max_actors``
     caps the concurrent tasks). The built-in stand-in models take
     ~12 MB a stage; with ``*_model_path`` files, every such worker
     holds its own copy of each model."""
 
-    def __init__(self, **stage_kwargs):
+    def __init__(self, batch_rows: Optional[int] = None, **stage_kwargs):
+        self.batch_rows = batch_rows
         self.stage_kwargs = stage_kwargs
         self.key = stage_cache_key(stage_kwargs)
 
@@ -373,4 +379,9 @@ class CachedAnnotateStage:
             _STAGE_SLOT = stage = None
             stage = AnnotateStage(**self.stage_kwargs)
             _STAGE_SLOT = (self.key, stage)
-        return stage(batch)
+        n = self.batch_rows or max(batch.num_rows, 1)
+        if batch.num_rows <= n:
+            return stage(batch)
+        return pa.concat_tables(
+            [stage(batch.slice(i, n)) for i in range(0, batch.num_rows, n)]
+        )

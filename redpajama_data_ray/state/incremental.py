@@ -1371,15 +1371,22 @@ def compact_topk_state(
 
 # state rows are (group_key, cnt) with str-normalized group keys —
 # comparable across runs regardless of the sampling seed (the seed
-# picks WHICH rows a run keeps, not how many were kept)
+# picks WHICH rows a run keeps, not how many were kept). The rows do
+# not name the column their keys came from, so the stamp does: keys
+# banked per ``source`` never match ``lang`` values, and a run over
+# them would grant every group its full cap again
 GROUP_QUOTA_FORMAT = "grpquota-str-v1"
 
 
-def seen_quota_rows(state_dir: str) -> int:
+def _quota_format(group_col: str) -> str:
+    return f"{GROUP_QUOTA_FORMAT} group={group_col}"
+
+
+def seen_quota_rows(state_dir: str, group_col: str = "source") -> int:
     """Committed quota-count rows from parquet footers (PARTIAL rows:
     the same group may appear in several run files until
     :func:`compact_quota_state` merges them)."""
-    return _seen_counts(state_dir, "quota", GROUP_QUOTA_FORMAT)
+    return _seen_counts(state_dir, "quota", _quota_format(group_col))
 
 
 def incremental_domain_cap(
@@ -1420,7 +1427,7 @@ def incremental_domain_cap(
 
         run_id = uuid.uuid4().hex[:12]
     files = _counts_files(
-        state_dir, "quota", GROUP_QUOTA_FORMAT, exclude_run_id=run_id
+        state_dir, "quota", _quota_format(group_col), exclude_run_id=run_id
     )
     prev = rd.read_parquet(files) if files else None
     kwargs = {}
@@ -1434,23 +1441,28 @@ def incremental_domain_cap(
 
 
 def commit_run_quota_counts(
-    run_counts: "Dataset", state_dir: str, run_id: str
+    run_counts: "Dataset", state_dir: str, run_id: str,
+    group_col: str = "source",
 ) -> str:
     """Append one run's kept ``(group_key, cnt)`` partials (atomic
     rename; rerunning the same run_id overwrites — unless the run was
-    folded into a compact file, which raises)."""
+    folded into a compact file, which raises). ``group_col`` is the
+    run's group column, which the state dir's stamp must name."""
     return _commit_counts(
-        run_counts, state_dir, run_id, "quota", GROUP_QUOTA_FORMAT,
+        run_counts, state_dir, run_id, "quota", _quota_format(group_col),
         "group_key",
     )
 
 
-def compact_quota_state(state_dir: str, max_files: int = 16) -> int:
+def compact_quota_state(
+    state_dir: str, max_files: int = 16, group_col: str = "source"
+) -> int:
     """Merge per-run quota-count files past ``max_files`` (kept counts
     are additive across runs, so the standard journaled count
     compaction applies; the newest run file stays retryable)."""
     return _compact_counts(
-        state_dir, "quota", GROUP_QUOTA_FORMAT, "group_key", max_files
+        state_dir, "quota", _quota_format(group_col), "group_key",
+        max_files,
     )
 
 
@@ -1459,15 +1471,26 @@ def compact_quota_state(state_dir: str, max_files: int = 16) -> int:
 # ------------------------------------------------------------------
 
 # banked kept-token sums per str-normalized group; float64 (the
-# sampling kernel sums float64 — integer token columns stay exact)
+# sampling kernel sums float64 — integer token columns stay exact).
+# Stamped with the group and token columns, as the quota state is:
+# sums of n_chars charged against an n_lines budget would be as wrong
+# as sums banked under another grouping
 TOKEN_BUDGET_FORMAT = "grptok-str-f64-v1"
 
 
-def seen_budget_rows(state_dir: str) -> int:
+def _budget_format(token_col: str, group_col: str) -> str:
+    return f"{TOKEN_BUDGET_FORMAT} group={group_col} tokens={token_col}"
+
+
+def seen_budget_rows(
+    state_dir: str, token_col: str = "n_chars", group_col: str = "source"
+) -> int:
     """Committed kept-token-sum rows from parquet footers (PARTIAL
     rows: the same group may appear in several run files until
     :func:`compact_token_budget_state` merges them)."""
-    return _seen_counts(state_dir, "token_budget", TOKEN_BUDGET_FORMAT)
+    return _seen_counts(
+        state_dir, "token_budget", _budget_format(token_col, group_col)
+    )
 
 
 def incremental_token_budget(
@@ -1504,7 +1527,7 @@ def incremental_token_budget(
 
         run_id = uuid.uuid4().hex[:12]
     files = _counts_files(
-        state_dir, "token_budget", TOKEN_BUDGET_FORMAT,
+        state_dir, "token_budget", _budget_format(token_col, group_col),
         exclude_run_id=run_id,
     )
     prev = rd.read_parquet(files) if files else None
@@ -1517,24 +1540,28 @@ def incremental_token_budget(
 
 
 def commit_run_token_budget(
-    run_tokens: "Dataset", state_dir: str, run_id: str
+    run_tokens: "Dataset", state_dir: str, run_id: str,
+    token_col: str = "n_chars", group_col: str = "source",
 ) -> str:
     """Append one run's kept ``(group_key, cnt)`` token-sum partials
     (atomic rename; rerunning the same run_id overwrites — unless the
-    run was folded into a compact file, which raises)."""
+    run was folded into a compact file, which raises). ``token_col``
+    and ``group_col`` are the run's columns, which the state dir's
+    stamp must name."""
     return _commit_counts(
         run_tokens, state_dir, run_id, "token_budget",
-        TOKEN_BUDGET_FORMAT, "group_key",
+        _budget_format(token_col, group_col), "group_key",
     )
 
 
 def compact_token_budget_state(
-    state_dir: str, max_files: int = 16
+    state_dir: str, max_files: int = 16, token_col: str = "n_chars",
+    group_col: str = "source",
 ) -> int:
     """Merge per-run kept-token files past ``max_files`` (sums are
     additive across runs; standard journaled count compaction, the
     newest run file stays retryable)."""
     return _compact_counts(
-        state_dir, "token_budget", TOKEN_BUDGET_FORMAT, "group_key",
-        max_files,
+        state_dir, "token_budget", _budget_format(token_col, group_col),
+        "group_key", max_files,
     )

@@ -145,3 +145,31 @@ def test_task_workers_keep_default_gc():
         unregister_signal("rps_doc_gc_frozen")
     assert set(out["rps_doc_gc_gen0_threshold"].to_pylist()) == {default_gen0}
     assert set(out["rps_doc_gc_frozen"].to_pylist()) == {default_frozen}
+
+
+def test_cached_stage_cuts_blocks_into_bounded_calls(monkeypatch):
+    """The fused plan hands the stage whole blocks: ``batch_rows`` cuts
+    each into calls of at most that many rows, and the concatenated
+    result equals one call over the block."""
+    from redpajama_data_ray.functions.registry import RegisteredSignal
+
+    monkeypatch.setattr(annotate_mod, "_STAGE_SLOT", (None, None))
+    sizes = []
+
+    def call_size(texts):
+        sizes.append(len(texts))
+        return [len(texts)] * len(texts)
+
+    kw = dict(
+        include_line_signals=False,
+        include_scrub=True,
+        rules=RuleConfig(),
+        extra_signals=[RegisteredSignal("rps_doc_call", call_size, pa.int64())],
+    )
+    block = _TABLE.slice(0, 25)
+    want = AnnotateStage(**kw)(block)
+    sizes.clear()
+    got = CachedAnnotateStage(batch_rows=10, **kw)(block)
+    assert sizes == [10, 10, 5]
+    assert got.drop(["rps_doc_call"]).equals(want.drop(["rps_doc_call"]))
+    assert CachedAnnotateStage(batch_rows=10, **kw)(block.slice(0, 0)).num_rows == 0

@@ -1,12 +1,15 @@
 """write_outputs writes all four sinks from one execution: every sink
 must hold the rows the read-back layout derives from the annotated
 output, under any blocking and stage set, and neither duplicate input
-files nor a worker lost mid-task may lose or duplicate a row."""
+files nor a worker lost mid-task may lose or duplicate a row. The
+execution is one operator per read block whose tasks run side by side,
+up to ``max_actors`` of them."""
 
 import collections
 import hashlib
 import json
 import os
+import time
 
 import pyarrow as pa
 import pyarrow.dataset as pads
@@ -156,6 +159,100 @@ def test_one_fused_execution_with_max_actors(tmp_path):
     # the limit stays on this dataset's context, off the global one
     default = ray.data.DataContext.get_current().execution_options
     assert default.resource_limits.cpu != 1
+
+
+MARKER = "slow-block-marker"
+
+
+def _timed_calls(tmp_path, **cfg_kwargs):
+    """Annotate and write 4 one-file read blocks whose first holds a
+    marker row. A plugin signal sleeps 1 s in the call that sees the
+    marker and appends ``(pid, start, end, marker)`` of every call to a
+    file; returns those calls and the execution's ``ds.stats()``."""
+    from redpajama_data_ray.functions.registry import (
+        register_signal,
+        unregister_signal,
+    )
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    # a block of one annotate batch: Ray packs smaller blocks together
+    n = QualityConfig().actor_batch_size
+    t = generate_corpus_table(4 * n, seed=21, include_big_file=False)
+    for i in range(4):
+        part = t.slice(n * i, n)
+        if i == 0:
+            content = [MARKER] + part["content"].to_pylist()[1:]
+            part = part.set_column(
+                part.schema.get_field_index("content"),
+                "content",
+                pa.array(content, part.schema.field("content").type),
+            )
+        pq.write_table(part, str(d / f"c{i}.parquet"))
+    log = str(tmp_path / "calls.jsonl")
+
+    def timed(texts):
+        start = time.time()
+        marker = MARKER in texts
+        if marker:
+            time.sleep(1.0)
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), start, time.time(), marker]))
+            f.write("\n")
+        return [0] * len(texts)
+
+    register_signal("rps_doc_test_timed", pa.int64())(timed)
+    ds = ray.data.read_parquet(str(d), override_num_blocks=4)
+    # the object-store budget of a 512 MB store (Ray Data gives an
+    # execution half the store), whatever this session's store is
+    opts = ds.context.execution_options
+    opts.resource_limits = opts.resource_limits.copy(
+        object_store_memory=256 * 2**20
+    )
+    try:
+        ds = with_narrow_sinks(
+            annotate(
+                ds, QualityConfig(include_line_signals=False, **cfg_kwargs)
+            ),
+            str(tmp_path / "out"),
+        )
+        ds.write_parquet(str(tmp_path / "out" / "annotated"))
+    finally:
+        unregister_signal("rps_doc_test_timed")
+    with open(log) as f:
+        calls = [json.loads(line) for line in f]
+    assert sum(marker for *_, marker in calls) == 1
+    assert _read(str(tmp_path / "out" / "annotated")).num_rows == 4 * n
+    return calls, ds.stats()
+
+
+def _operators(stats: str) -> "list[str]":
+    return [
+        line.split(":")[0].split(" ", 2)[2]
+        for line in stats.splitlines()
+        if line.startswith("Operator")
+    ]
+
+
+def test_first_block_does_not_hold_back_the_rest(tmp_path):
+    """A read of whole files fuses into the annotate -> write chain
+    (one operator, one task per read block), and Ray budgets no 256 MB
+    guess for the chain's first output: the other blocks annotate
+    while the slow first one is still running."""
+    calls, stats = _timed_calls(tmp_path)
+    ops = _operators(stats)
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("ReadParquet->") and ops[0].endswith("->Write")
+    (_, _, slow_end, _), = [c for c in calls if c[3]]
+    assert min(start for _, start, _, m in calls if not m) < slow_end
+
+
+def test_max_actors_caps_the_fused_execution(tmp_path):
+    """``max_actors=1`` still runs one annotate call at a time."""
+    calls, _ = _timed_calls(tmp_path, max_actors=1)
+    spans = sorted((start, end) for _, start, end, _ in calls)
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert start >= end, spans
 
 
 def test_identical_input_files_double_every_sink(tmp_path):

@@ -238,3 +238,92 @@ def test_exact_key_state_other_key_column_rejected(tmp_path, capsys):
              "--key", "content_sha256", "--order-col", "doc_id"]
         )
     assert not os.path.exists(out2)
+
+
+def _grouped_input(d, rows):
+    """Quota / budget input: (doc_id, source, lang, n_chars, n_lines)."""
+    os.makedirs(d)
+    names = ("doc_id", "source", "lang", "n_chars", "n_lines")
+    pq.write_table(
+        pa.table({n: [r[i] for r in rows] for i, n in enumerate(names)}),
+        os.path.join(d, "docs.parquet"),
+    )
+    return str(d)
+
+
+_GROUPED = [(i, "web", "en" if i % 2 else "fr", 100, 3) for i in range(6)]
+
+
+def test_quota_state_other_group_column_rejected(tmp_path, capsys):
+    """Quota state keeps (group_key, cnt) rows only: counts banked per
+    --group-column source, read by a --group-column lang run, would
+    match no group and grant every language its full cap again, so
+    the state dir records the group column and refuses another."""
+    state = str(tmp_path / "state")
+
+    def cap(i, *extra):
+        out = str(tmp_path / f"o{i}")
+        argv = ["domain-cap", "--input",
+                _grouped_input(tmp_path / f"in{i}", _GROUPED),
+                "--output", out, "--cap", "4", "--state-dir", state,
+                "--run-id", f"r{i}", *extra]
+        return argv, out
+
+    argv, _ = cap(1)
+    assert _run(argv, capsys)["rows"] == 4
+    marker = os.path.join(state, "quota", "FORMAT")
+    assert open(marker).read() == "grpquota-str-v1 group=source"
+    argv, out = cap(2, "--group-column", "lang")
+    with pytest.raises(SystemExit, match="group=source"):
+        main(argv)
+    assert not os.path.exists(out)  # rejected before any write
+    # the same column still runs against its banked counts
+    argv, _ = cap(3)
+    assert _run(argv, capsys)["rows"] == 0
+    # a stamp from before the column was recorded is refused
+    with open(marker, "w") as f:
+        f.write("grpquota-str-v1")
+    argv, out = cap(4)
+    with pytest.raises(SystemExit, match="grpquota-str-v1"):
+        main(argv)
+    assert not os.path.exists(out)
+
+
+def test_budget_state_other_group_or_token_column_rejected(
+    tmp_path, capsys
+):
+    """Token-budget state keeps (group_key, cnt) sums only: it records
+    the group and token columns and refuses a run over either other
+    column, and a stamp from before they were recorded."""
+    state = str(tmp_path / "state")
+
+    def budget(i, *extra):
+        out = str(tmp_path / f"o{i}")
+        argv = ["token-budget", "--input",
+                _grouped_input(tmp_path / f"in{i}", _GROUPED),
+                "--output", out, "--budget", "300", "--state-dir", state,
+                "--run-id", f"r{i}", *extra]
+        return argv, out
+
+    argv, _ = budget(1)
+    assert _run(argv, capsys)["rows"] == 3
+    marker = os.path.join(state, "token_budget", "FORMAT")
+    assert open(marker).read() == (
+        "grptok-str-f64-v1 group=source tokens=n_chars"
+    )
+    for i, extra in (
+        (2, ["--group-column", "lang"]),
+        (3, ["--token-column", "n_lines"]),
+    ):
+        argv, out = budget(i, *extra)
+        with pytest.raises(SystemExit, match="tokens=n_chars"):
+            main(argv)
+        assert not os.path.exists(out)
+    argv, _ = budget(4)
+    assert _run(argv, capsys)["rows"] == 0  # 300 of 300 banked
+    with open(marker, "w") as f:
+        f.write("grptok-str-f64-v1")
+    argv, out = budget(5)
+    with pytest.raises(SystemExit, match="grptok-str-f64-v1"):
+        main(argv)
+    assert not os.path.exists(out)
