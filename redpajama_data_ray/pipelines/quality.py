@@ -18,10 +18,15 @@ write into ONE operator, ``ReadParquet->...->Write``, with one task per
 read block, so every CPU annotates and no block passes between
 operators (a read that splits files into more blocks than there are
 files, ``ReadParquet->SplitBlocks(k)``, stays its own operator: Ray
-fuses no split read). The lineage's context sets no ``target_max_block_size``:
-Ray then budgets no output for that operator's first task instead of
-2 x 128 MB, a guess that alone filled the operator's object-store
-share and held its other tasks back until the first returned.
+fuses no split read; a read with no ``override_num_blocks`` splits
+when the input has more MB than files, up to 200 blocks). The
+lineage's context sets ``target_max_block_size`` to an eighth of the
+execution's object-store limit per CPU (``_fused_block_target``):
+Ray's guess for the output of the operator's first task, 2 blocks,
+then admits one task per CPU, where 2 x the 128 MB default filled a
+512 MB store's share and held the other tasks back until the first
+returned. The target stays finite, so the read still sizes its block
+count to the input.
 ``QualityConfig.max_actors`` caps the tasks through a CPU limit on the
 execution rather than a per-operator pool size, which a write could
 not match. Each worker process builds its ``AnnotateStage`` once and
@@ -84,7 +89,10 @@ class QualityConfig:
     # rows per annotate call, task or actor. The fused plan's maps take
     # whole read blocks (each block is one task of the fused read ->
     # write operator) and the task cuts its block into calls of at
-    # most this many rows, which bounds each call's row lists
+    # most this many rows: this bounds one call's Python row lists.
+    # A task's tables grow with its read block (Ray's parquet write
+    # holds a task's whole output); a read with no override_num_blocks
+    # makes blocks of about the lineage's target_max_block_size at most
     actor_batch_size: int = 64
     # giant-row guard (SURVEY §4: Ray splits oversized BLOCKS, but one
     # huge row still lands whole in an annotate call): when set, content
@@ -131,6 +139,37 @@ def _cluster_cpus() -> int:
         return int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         return 4
+
+
+def _fused_block_target(ctx) -> int:
+    """``target_max_block_size`` for the fused plan's lineage: an
+    eighth of the execution's object-store limit per CPU it may use,
+    between Ray's minimum block size and the context's current target.
+
+    Before any task of an operator returns, Ray budgets its pending
+    output at 2 blocks of this size. Its object-store limit is half the
+    store (or ``resource_limits``); one operator may hold up to 3/4 of
+    it, and each of 2 or 3 operators at least 1/4. So one task per CPU
+    (2 x 1/8 of the limit per CPU) is admitted at once at any store
+    size and CPU count, where the 128 MB default held a 512 MB store's
+    fused operator to one task until it returned. The target stays
+    finite, so the read still splits a large input into blocks of at
+    most this size. Ray is running: creating ``ctx``'s dataset started
+    it."""
+    import ray
+
+    res = ray.cluster_resources()
+    limits = ctx.execution_options.resource_limits
+    cpus = min(limits.cpu, res.get("CPU", 1)) or 1
+    fraction = ctx.override_object_store_memory_limit_fraction or 0.5
+    store = min(
+        limits.object_store_memory,
+        res.get("object_store_memory", 0) * fraction,
+    )
+    target = max(ctx.target_min_block_size, store / (8 * cpus))
+    if ctx.target_max_block_size is not None:
+        target = min(target, ctx.target_max_block_size)
+    return int(target)
 
 
 def _default_actors() -> int:
@@ -190,23 +229,15 @@ def annotate(ds: Dataset, cfg: Optional[QualityConfig] = None) -> Dataset:
         # Ray keeps these on the dataset's context, the one context of
         # the whole lineage (``ds`` too), so every operator shares them
         ctx = ds.context
-        # before a task of an operator has returned, Ray budgets its
-        # pending output at 2 x target_max_block_size (256 MB by
-        # default). At a 512 MB store that guess alone fills the fused
-        # operator's object-store share, so its second task waited for
-        # its first, though a chain ending in a write returns one
-        # result row per block. With no target Ray makes no guess, at
-        # any store size, and budgets from the first measured output
-        # (at most one task per CPU runs before it). This lineage's
-        # blocks are then not split at 128 MB: a block is what one
-        # read task reads
-        ctx.target_max_block_size = None
         if cfg.max_actors:
             # the cap is a CPU limit of the whole execution instead
             opts = ctx.execution_options
             opts.resource_limits = opts.resource_limits.copy(
                 cpu=cfg.max_actors
             )
+        # a block target whose first-output guess admits one task per
+        # CPU (the 128 MB default admitted one task at a 512 MB store)
+        ctx.target_max_block_size = _fused_block_target(ctx)
     if cfg.max_content_chars is not None:
         cap = cfg.max_content_chars
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -356,9 +356,12 @@ class CachedAnnotateStage:
     reused by every later task that worker runs with the same key.
 
     ``batch_rows``: the fused plan hands it whole blocks, so that Ray
-    fuses the read with it; it cuts each into stage calls of at most
-    this many rows (None: one call per batch) and concatenates the
-    results, which keeps the per-call memory of the row lists bounded.
+    fuses the read with it. A block of more rows is cut into stage
+    calls of at most this many rows (None: one call per batch), and the
+    call returns a generator of their results, so Ray takes each one as
+    it is made instead of a concatenation of the whole block. This
+    bounds one call's Python row lists; the task's tables still grow
+    with its block, since the parquet write holds a task's whole output.
 
     Memory: each task worker that runs annotate keeps one stage for
     the rest of the Ray session, up to one per CPU (``max_actors``
@@ -371,7 +374,7 @@ class CachedAnnotateStage:
         self.stage_kwargs = stage_kwargs
         self.key = stage_cache_key(stage_kwargs)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> "pa.Table | Iterator[pa.Table]":
         global _STAGE_SLOT
         key, stage = _STAGE_SLOT
         if key != self.key:
@@ -379,9 +382,7 @@ class CachedAnnotateStage:
             _STAGE_SLOT = stage = None
             stage = AnnotateStage(**self.stage_kwargs)
             _STAGE_SLOT = (self.key, stage)
-        n = self.batch_rows or max(batch.num_rows, 1)
-        if batch.num_rows <= n:
+        n = self.batch_rows
+        if not n or batch.num_rows <= n:
             return stage(batch)
-        return pa.concat_tables(
-            [stage(batch.slice(i, n)) for i in range(0, batch.num_rows, n)]
-        )
+        return (stage(batch.slice(i, n)) for i in range(0, batch.num_rows, n))

@@ -1382,7 +1382,7 @@ def _quota_format(group_col: str) -> str:
     return f"{GROUP_QUOTA_FORMAT} group={group_col}"
 
 
-def seen_quota_rows(state_dir: str, group_col: str = "source") -> int:
+def seen_quota_rows(state_dir: str, *, group_col: str) -> int:
     """Committed quota-count rows from parquet footers (PARTIAL rows:
     the same group may appear in several run files until
     :func:`compact_quota_state` merges them)."""
@@ -1441,8 +1441,7 @@ def incremental_domain_cap(
 
 
 def commit_run_quota_counts(
-    run_counts: "Dataset", state_dir: str, run_id: str,
-    group_col: str = "source",
+    run_counts: "Dataset", state_dir: str, run_id: str, *, group_col: str,
 ) -> str:
     """Append one run's kept ``(group_key, cnt)`` partials (atomic
     rename; rerunning the same run_id overwrites — unless the run was
@@ -1455,7 +1454,7 @@ def commit_run_quota_counts(
 
 
 def compact_quota_state(
-    state_dir: str, max_files: int = 16, group_col: str = "source"
+    state_dir: str, max_files: int = 16, *, group_col: str
 ) -> int:
     """Merge per-run quota-count files past ``max_files`` (kept counts
     are additive across runs, so the standard journaled count
@@ -1483,7 +1482,7 @@ def _budget_format(token_col: str, group_col: str) -> str:
 
 
 def seen_budget_rows(
-    state_dir: str, token_col: str = "n_chars", group_col: str = "source"
+    state_dir: str, *, token_col: str, group_col: str
 ) -> int:
     """Committed kept-token-sum rows from parquet footers (PARTIAL
     rows: the same group may appear in several run files until
@@ -1540,8 +1539,8 @@ def incremental_token_budget(
 
 
 def commit_run_token_budget(
-    run_tokens: "Dataset", state_dir: str, run_id: str,
-    token_col: str = "n_chars", group_col: str = "source",
+    run_tokens: "Dataset", state_dir: str, run_id: str, *,
+    token_col: str, group_col: str,
 ) -> str:
     """Append one run's kept ``(group_key, cnt)`` token-sum partials
     (atomic rename; rerunning the same run_id overwrites — unless the
@@ -1555,8 +1554,8 @@ def commit_run_token_budget(
 
 
 def compact_token_budget_state(
-    state_dir: str, max_files: int = 16, token_col: str = "n_chars",
-    group_col: str = "source",
+    state_dir: str, max_files: int = 16, *, token_col: str,
+    group_col: str,
 ) -> int:
     """Merge per-run kept-token files past ``max_files`` (sums are
     additive across runs; standard journaled count compaction, the

@@ -149,8 +149,9 @@ def test_task_workers_keep_default_gc():
 
 def test_cached_stage_cuts_blocks_into_bounded_calls(monkeypatch):
     """The fused plan hands the stage whole blocks: ``batch_rows`` cuts
-    each into calls of at most that many rows, and the concatenated
-    result equals one call over the block."""
+    each into calls of at most that many rows, made one at a time as
+    Ray takes their results, which together equal one call over the
+    block."""
     from redpajama_data_ray.functions.registry import RegisteredSignal
 
     monkeypatch.setattr(annotate_mod, "_STAGE_SLOT", (None, None))
@@ -169,7 +170,11 @@ def test_cached_stage_cuts_blocks_into_bounded_calls(monkeypatch):
     block = _TABLE.slice(0, 25)
     want = AnnotateStage(**kw)(block)
     sizes.clear()
-    got = CachedAnnotateStage(batch_rows=10, **kw)(block)
+    out = CachedAnnotateStage(batch_rows=10, **kw)(block)
+    assert sizes == []
+    first = next(out)
+    assert first.num_rows == 10 and sizes == [10]
+    got = pa.concat_tables([first, *out])
     assert sizes == [10, 10, 5]
     assert got.drop(["rps_doc_call"]).equals(want.drop(["rps_doc_call"]))
     assert CachedAnnotateStage(batch_rows=10, **kw)(block.slice(0, 0)).num_rows == 0

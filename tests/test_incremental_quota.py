@@ -64,7 +64,7 @@ def _run_and_commit(t, state, cap, run_id):
     )
     commit_run_quota_counts(
         group_kept_counts(rd.from_arrow(kt), "source"),
-        str(state), rid,
+        str(state), rid, group_col="source",
     )
     return set(kept["doc_id"]) if len(kept) else set()
 
@@ -96,12 +96,12 @@ def test_same_run_id_retry_is_idempotent(tmp_path):
     _run_and_commit(_t(a), state, 4, "r1")
     kept2 = _run_and_commit(_t(b), state, 7, "r2")
     assert len(kept2) == 3  # 7 - 4 banked
-    rows_after = seen_quota_rows(str(state))
+    rows_after = seen_quota_rows(str(state), group_col="source")
     # retry r2: prior r2 commit excluded -> identical output; the
     # re-commit overwrites, leaving state rows unchanged
     kept2_retry = _run_and_commit(_t(b), state, 7, "r2")
     assert kept2_retry == kept2
-    assert seen_quota_rows(str(state)) == rows_after
+    assert seen_quota_rows(str(state), group_col="source") == rows_after
 
 
 def test_format_stamp_rejected(tmp_path):
@@ -123,7 +123,7 @@ def test_compaction_preserves_semantics_and_retry_contract(tmp_path):
     for r, snap in enumerate(snaps[:3]):
         _run_and_commit(_t(snap), state, 10, f"r{r}")
     # 3 runs x 3 rows banked = 9; compact to fewer files
-    n = compact_quota_state(str(state), max_files=1)
+    n = compact_quota_state(str(state), max_files=1, group_col="source")
     assert n < 3
     # retry of a FOLDED run raises loudly
     with pytest.raises(ValueError, match="folded"):
@@ -224,7 +224,7 @@ def _run_budget_and_commit(t, state, budget, run_id):
     )
     commit_run_token_budget(
         group_kept_tokens(rd.from_arrow(kt), "source", "n_chars"),
-        str(state), rid,
+        str(state), rid, token_col="n_chars", group_col="source",
     )
     return kept
 
@@ -258,13 +258,14 @@ def test_token_budget_retry_and_compaction(tmp_path):
     ]
     for r, snap in enumerate(snaps[:3]):
         _run_budget_and_commit(_tt(snap), state, 10_000, f"r{r}")
-    rows_after = seen_budget_rows(str(state))
+    cols = dict(token_col="n_chars", group_col="source")
+    rows_after = seen_budget_rows(str(state), **cols)
     # same-run_id retry: identical output, state rows unchanged
     k = _run_budget_and_commit(_tt(snaps[2]), state, 10_000, "r2")
     assert len(k) == 3
-    assert seen_budget_rows(str(state)) == rows_after
+    assert seen_budget_rows(str(state), **cols) == rows_after
     # compaction folds older runs; retry-of-folded raises
-    n = compact_token_budget_state(str(state), max_files=1)
+    n = compact_token_budget_state(str(state), max_files=1, **cols)
     assert n < 3
     with pytest.raises(ValueError, match="folded"):
         incremental_token_budget(

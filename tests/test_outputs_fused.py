@@ -255,6 +255,55 @@ def test_max_actors_caps_the_fused_execution(tmp_path):
         assert start >= end, spans
 
 
+def _shards(d, k: int, rows: int) -> str:
+    t = generate_corpus_table(k * rows, seed=29, include_big_file=False)
+    d.mkdir()
+    for i in range(k):
+        pq.write_table(t.slice(i * rows, rows), str(d / f"shard_{i}.parquet"))
+    return str(d)
+
+
+def _parquet_files(d) -> "list[str]":
+    return [n for n in os.listdir(d) if n.endswith(".parquet")]
+
+
+def test_auto_sized_read_keeps_its_block_count(tmp_path, capsys):
+    """A read with no ``override_num_blocks`` takes its block count from
+    the lineage's ``target_max_block_size``: the fused plan's target is
+    finite, so a small input still gets Ray's 2 blocks per CPU (one
+    fused task per file here), not its 200-block floor, and every write
+    task writes one file."""
+    from redpajama_data_ray.cli import main
+
+    blocks = 2 * int(ray.cluster_resources()["CPU"])
+    src = _shards(tmp_path / "corpus", blocks, 12)
+    ds = annotate(
+        ray.data.read_parquet(src), QualityConfig(include_line_signals=False)
+    )
+    target = ds.context.target_max_block_size
+    assert target is not None and target <= 128 * 2**20
+    ds = with_narrow_sinks(ds, str(tmp_path / "lib"))
+    ds.write_parquet(str(tmp_path / "lib" / "annotated"))
+    ops = _operators(ds.stats())
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("ReadParquet->") and ops[0].endswith("->Write")
+    assert len(_parquet_files(tmp_path / "lib" / "annotated")) == blocks
+
+    # the CLI reads the same way; --resume reads each shard on its own
+    out = tmp_path / "cli"
+    assert main(["quality", "--input", src, "--output", str(out)]) == 0
+    assert len(_parquet_files(out / "annotated")) == blocks
+    assert _read(str(out / "annotated")).num_rows == blocks * 12
+    out = tmp_path / "resume"
+    src = _shards(tmp_path / "two", 2, 48)
+    assert main(
+        ["quality", "--input", src, "--output", str(out), "--resume"]
+    ) == 0
+    capsys.readouterr()
+    for i in range(2):
+        assert len(_parquet_files(out / f"part=shard_{i}")) <= blocks
+
+
 def test_identical_input_files_double_every_sink(tmp_path):
     """The same rows in two blocks must land twice in every sink (file
     names never collide), as they do in the annotated write."""
