@@ -1,8 +1,8 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``entry()`` runs the flagship quality pipeline (id assignment, language
-ID + perplexity actor pools, fused quality signals, minhash, PII scrub,
-keep/drop rules) over the sf0.001 synthetic code corpus.
+ID, perplexity, quality signals, minhash, PII scrub and keep/drop rules
+in one fused annotate task per read block) over the sf0.001 synthetic code corpus.
 
 ``queries()`` exposes every implemented operator/pipeline; each entry in
 ``oracle_sql()`` is the DuckDB-equivalent SQL with identical column

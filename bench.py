@@ -9,7 +9,10 @@ ONE JSON line::
 
 ``--scaling``: run the same benchmark twice in fresh processes at 8 and
 32 CPUs on the same (pre-generated, page-warm) input and report both
-throughputs plus scaling efficiency = (t_8 / t_32) / (32 / 8).
+throughputs plus scaling efficiency = (t_8 / t_32) / (32 / 8);
+``--pairs N`` repeats that A/B N times and reports the median.
+
+``--stats``: print the flagship's per-operator ``ds.stats()``.
 """
 
 from __future__ import annotations
@@ -20,21 +23,7 @@ import subprocess
 import sys
 import time
 
-
-def _bench_plan() -> str:
-    # explicit BENCH_PLAN wins over the legacy BENCH_UNFUSED alias so
-    # a lingering BENCH_UNFUSED=1 export can't silently override
-    # `--plan pairs`
-    plan = os.environ.get("BENCH_PLAN")
-    if plan is None:
-        plan = (
-            "unfused"
-            if os.environ.get("BENCH_UNFUSED") == "1"
-            else "fused"
-        )
-    if plan not in ("fused", "unfused", "pairs"):
-        raise SystemExit(f"unknown BENCH_PLAN {plan!r}")
-    return plan
+USAGE = "usage: bench.py [--scaling [--pairs N]] [--stats]"
 
 
 def _run_benchmarks(sf_dir: str, ncpu: int) -> dict:
@@ -96,11 +85,7 @@ def _run_benchmarks(sf_dir: str, ncpu: int) -> dict:
     # (imports + model init amortized), which is the steady-state
     # number a long-running job sees
     n_runs = 2
-    # BENCH_PLAN=fused|pairs|unfused (BENCH_UNFUSED=1 = legacy alias):
-    # same columns, different physical plan (pipelines/quality.py)
-    plan = _bench_plan()
-    fused = {"fused": True, "unfused": False, "pairs": "pairs"}[plan]
-    cfg = QualityConfig(fused=fused)  # pool sizes to num_cpus - 2
+    cfg = QualityConfig()
     for _ in range(n_runs):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
@@ -117,9 +102,7 @@ def _run_benchmarks(sf_dir: str, ncpu: int) -> dict:
         # reference byte-parity; functions/minhash.py) — recorded so
         # each round's bench shows what the deviation buys. Runs in
         # the same warm session as the sha1 runs, best-of-2, same sink.
-        poly_cfg = QualityConfig(
-            fused=fused, minhash_shingle_hash="poly64"
-        )
+        poly_cfg = QualityConfig(minhash_shingle_hash="poly64")
         poly_runs = []
         for _ in range(n_runs):
             shutil.rmtree(out_dir, ignore_errors=True)
@@ -137,9 +120,9 @@ def _run_benchmarks(sf_dir: str, ncpu: int) -> dict:
         ds.write_parquet(out_dir)
 
     # session hygiene: the flagship leaves ~30 heavyweight model
-    # workers (gc-frozen heaps) idling after its dataset completes;
-    # until Ray reaps them they slow the NEXT hash-shuffle stages
-    # 2-4x (measured: first post-flagship join 30.5 s, then 13.3,
+    # workers (each holds its annotate stage) idling after its dataset
+    # completes; until Ray reaps them they slow the NEXT hash-shuffle
+    # stages 2-4x (measured: first post-flagship join 30.5 s, then 13.3,
     # then 10.2 as workers die; 9 s in a quiet session). Restart the
     # session so every per-op number means "op cost on a quiet
     # cluster", not "op cost behind another pipeline's residue".
@@ -298,7 +281,6 @@ def _finish(timings, headline, sf, ncpu, n_files, out_dir) -> dict:
     shutil.rmtree(out_dir, ignore_errors=True)  # don't leak tmpfs
     result = {
         "metric": "flagship_quality_pipeline_sec",
-        "plan": _bench_plan(),
         "value": round(headline, 3),
         "unit": "sec",
         # headline estimator, stated so round-over-round comparisons
@@ -353,7 +335,6 @@ def _scaling(sf_dir: str, pairs: int = 1) -> dict:
     r_lo, r_hi, _ = min(results, key=lambda t: abs(t[2] - median))
     return {
         "metric": "scaling_efficiency",
-        "plan": r_lo.get("plan", "fused"),
         "value": round(median, 3),
         "unit": "ratio",
         "pairs": [
@@ -409,13 +390,12 @@ def _stats(sf_dir: str, ncpu: int) -> None:
 def main():
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    if "--unfused" in sys.argv:
-        os.environ["BENCH_UNFUSED"] = "1"  # inherited by scaling legs
-    if "--plan" in sys.argv:
-        i = sys.argv.index("--plan")
-        if i + 1 >= len(sys.argv) or sys.argv[i + 1].startswith("--"):
-            raise SystemExit("usage: --plan fused|unfused|pairs")
-        os.environ["BENCH_PLAN"] = sys.argv[i + 1]
+    unknown = [
+        a for a in sys.argv[1:]
+        if a.startswith("--") and a not in ("--scaling", "--pairs", "--stats")
+    ]
+    if unknown:
+        raise SystemExit(f"unknown flag(s) {unknown}; {USAGE}")
     if "--scaling" in sys.argv:
         pairs = 1
         if "--pairs" in sys.argv:

@@ -2,8 +2,8 @@
 query/data-processing capabilities of togethercomputer/RedPajama-Data.
 
 Built from scratch on ray.data.Dataset pipelines: zero-copy Arrow batches,
-fused stateless ``map_batches`` signal stages, actor pools for model stages
-(language ID, perplexity), shuffle-based dedup (exact sha256, MinHash-LSH,
+one fused annotate task per read block (language ID, perplexity, signals,
+minhash, PII scrub, keep/drop), shuffle-based dedup (exact sha256, MinHash-LSH,
 SimHash, n-gram Jaccard, embedding cosine), similarity search, and a
 manifest/checkpoint layer for resumable partitioned output.
 

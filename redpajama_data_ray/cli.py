@@ -71,6 +71,19 @@ def _ensure_doc_ids(ds, id_column: str):
     return ds.map_batches(assign_ids, batch_format="pyarrow")
 
 
+def _input_files(path: str, keep_patterns: Optional[List[str]] = None):
+    """The parquet files ``quality --input`` names (a scale-factor dir
+    maps to its synthesized corpus shards; see
+    ``pipelines.quality.input_files``), as a CLI error when none is
+    left."""
+    from .pipelines.quality import input_files
+
+    try:
+        return input_files(path, keep_patterns)
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
+
+
 def _read_input(
     path: str,
     max_docs: Optional[int],
@@ -79,17 +92,9 @@ def _read_input(
 ):
     import ray.data as rd
 
-    from .pipelines.quality import filter_keep_patterns, read_corpus
+    from .pipelines.quality import is_sf_dir, read_corpus
 
-    from .sources.corpus import parse_sf_basename
-
-    # only a PURE scale-factor basename (sf0.01) is the synthesized
-    # test-corpus convention; anything else sf-prefixed (e.g. the
-    # corpus cache's sf1.0_seed42_n1000000_v4) is a real parquet dir
-    # and must be read as given, not rerouted to a synth corpus
-    if os.path.isdir(path) and (
-        parse_sf_basename(os.path.basename(path.rstrip("/"))) is not None
-    ):
+    if is_sf_dir(path):
         return read_corpus(
             path,
             shuffle_files=shuffle_files,
@@ -98,18 +103,7 @@ def _read_input(
         )
     src: "str | List[str]" = path
     if keep_patterns:
-        import glob
-
-        files = (
-            sorted(glob.glob(os.path.join(path, "*.parquet")))
-            if os.path.isdir(path)
-            else [path]
-        )
-        src = filter_keep_patterns(files, keep_patterns)
-        if not src:
-            raise SystemExit(
-                f"no input files match keep patterns {keep_patterns}"
-            )
+        src = _input_files(path, keep_patterns)
     ds = rd.read_parquet(
         src, shuffle="files" if shuffle_files else None
     )
@@ -181,13 +175,10 @@ def _write_then_reread(
 
 
 def cmd_quality(args) -> dict:
-    from .pipelines.outputs import write_outputs
+    from .pipelines.outputs import write_minhash_provenance, write_outputs
     from .pipelines.quality import QualityConfig, annotate
 
-    ds = _read_input(
-        args.input, args.max_docs, args.shuffle_files,
-        getattr(args, "keep_patterns", None),
-    )
+    keep_patterns = getattr(args, "keep_patterns", None)
     model_kwargs = dict(
         langid_model_path=getattr(args, "langid_model", None),
         ppl_model_path=getattr(args, "ppl_model", None),
@@ -196,7 +187,6 @@ def cmd_quality(args) -> dict:
             args, "minhash_shingle_hash", "sha1"
         ),
     )
-    annotated = annotate(ds, QualityConfig(**model_kwargs))
     # provenance sidecar: which shingle-hash mode produced the
     # signature columns (modes are not comparable — dedup-fuzzy
     # validates this stamp against its state dir)
@@ -211,35 +201,41 @@ def cmd_quality(args) -> dict:
     }
     if args.resume:
         # partition-per-input-shard resumable mode
-        import glob
+        import ray
 
         from .state.manifest import run_partitioned
 
-        files = sorted(glob.glob(os.path.join(args.input, "*.parquet")))
-        if getattr(args, "keep_patterns", None):
-            from .pipelines.quality import filter_keep_patterns
-
-            files = filter_keep_patterns(files, args.keep_patterns)
-        if files:
-            import ray
-
-            workers = max(1, args.resume_workers)
-            # split the CPU budget across concurrent shard pipelines —
-            # each shard execution caps the CPUs of its own tasks so
-            # the shards share the cluster instead of queueing on it
-            total = int(ray.cluster_resources().get("CPU", 4))
-            per_shard = max(1, total // workers)
-            cfg = QualityConfig(max_actors=per_shard, **model_kwargs)
-            committed = run_partitioned(
-                files,
-                args.output,
-                lambda p: annotate(ray.data.read_parquet(p), cfg),
-                max_concurrent=workers,
-            )
-            from .pipelines.outputs import write_minhash_provenance
-
-            write_minhash_provenance(args.output, minhash_provenance)
-            return {"partitions": len(committed), "output": args.output}
+        # a shard's partition is the whole shard: a row cap or a
+        # shuffled file order has no per-shard meaning to resume
+        for flag, on in (
+            ("--max-docs", args.max_docs is not None),
+            ("--shuffle-files", args.shuffle_files),
+        ):
+            if on:
+                raise SystemExit(
+                    f"quality --resume does not take {flag}: each input "
+                    "file is processed whole into its own partition"
+                )
+        files = _input_files(args.input, keep_patterns)
+        workers = max(1, args.resume_workers)
+        # split the CPU budget across concurrent shard pipelines —
+        # each shard execution caps the CPUs of its own tasks so the
+        # shards share the cluster instead of queueing on it
+        total = int(ray.cluster_resources().get("CPU", 4))
+        per_shard = max(1, total // workers)
+        cfg = QualityConfig(max_actors=per_shard, **model_kwargs)
+        committed = run_partitioned(
+            files,
+            args.output,
+            lambda p: annotate(ray.data.read_parquet(p), cfg),
+            max_concurrent=workers,
+        )
+        write_minhash_provenance(args.output, minhash_provenance)
+        return {"partitions": len(committed), "output": args.output}
+    ds = _read_input(
+        args.input, args.max_docs, args.shuffle_files, keep_patterns
+    )
+    annotated = annotate(ds, QualityConfig(**model_kwargs))
     paths = write_outputs(
         annotated, args.output, minhash_provenance=minhash_provenance
     )

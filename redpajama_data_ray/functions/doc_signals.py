@@ -11,9 +11,8 @@ pipeline in one pass over a document. Semantics are replicated from:
 Two paths compute the same values:
 
 - the per-document path, ``DocView`` + ``SignalKernel``: one pass of
-  Python per document, shaped like the reference. The Ray stage in
-  ``stages/signals.py`` maps it over Arrow batches, and it is the
-  oracle of the batch path;
+  Python per document, shaped like the reference. It is the oracle of
+  the batch path;
 - the batch view, ``BatchView``: every signal of a whole batch one
   column at a time. Each per-word property is taken once per distinct
   word of the batch (one Arrow dictionary for the normalized words and

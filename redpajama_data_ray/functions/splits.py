@@ -44,7 +44,7 @@ is kept) — assign unique ids first (stages/ids.py) for an exact cap.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -413,6 +413,33 @@ def _cap_thresholds(cap: int):
     return _finalize
 
 
+def _key_join_narrow(
+    t: pa.Table,
+    group_col: str,
+    id_col: str,
+    seed: int,
+    tokens: "Optional[Callable[[pa.Table], np.ndarray]]" = None,
+) -> pa.Table:
+    """The narrow corpus projection the key-join deliveries join on the
+    group key: ``__rpray_g`` (str of the group), ``__rpray_h`` (the
+    row's hex16 sampling digest) and ``__rpray_id`` (str of the id),
+    plus ``__rpray_tok`` (float64) when ``tokens`` maps the batch to
+    its token counts. Document text never enters it."""
+    n = t.num_rows
+    # an empty block may have lost its schema: read no column of it
+    ids = t.column(id_col).to_pylist() if n else []
+    groups = t.column(group_col).to_pylist() if n else []
+    hexes = [x.decode() for x in _hex16(ids, seed)] if n else []
+    cols = {
+        "__rpray_g": pa.array([str(k) for k in groups], pa.string()),
+        "__rpray_h": pa.array(hexes, pa.string()),
+        "__rpray_id": pa.array([str(v) for v in ids], pa.string()),
+    }
+    if tokens is not None:
+        cols["__rpray_tok"] = pa.array(tokens(t) if n else [], pa.float64())
+    return pa.table(cols)
+
+
 def _cap_join_delivery(
     ds: Dataset,
     thr_tbl: Dataset,
@@ -450,33 +477,11 @@ def _cap_join_delivery(
         max(2, min(nparts, 16))
     )
 
-    def _narrow(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "__rpray_g": pa.array([], pa.string()),
-                    "__rpray_h": pa.array([], pa.string()),
-                    "__rpray_id": pa.array([], pa.string()),
-                }
-            )
-        ids = t.column(id_col).to_pylist()
-        h = _hex16(ids, seed)
-        return pa.table(
-            {
-                "__rpray_g": pa.array(
-                    [str(k) for k in t.column(group_col).to_pylist()],
-                    pa.string(),
-                ),
-                "__rpray_h": pa.array(
-                    [x.decode() for x in h], pa.string()
-                ),
-                "__rpray_id": pa.array(
-                    [str(v) for v in ids], pa.string()
-                ),
-            }
-        )
-
-    joined = ds.map_batches(_narrow, batch_format="pyarrow").join(
+    joined = ds.map_batches(
+        _key_join_narrow,
+        fn_kwargs=dict(group_col=group_col, id_col=id_col, seed=seed),
+        batch_format="pyarrow",
+    ).join(
         thr,
         join_type="inner",
         num_partitions=nparts,
@@ -974,40 +979,14 @@ def token_budget_sample(
             _renb, batch_format="pyarrow"
         ).repartition(small)
 
-        def _narrow(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table(
-                    {
-                        "__rpray_g": pa.array([], pa.string()),
-                        "__rpray_h": pa.array([], pa.string()),
-                        "__rpray_id": pa.array([], pa.string()),
-                        "__rpray_tok": pa.array([], pa.float64()),
-                    }
-                )
-            ids = t.column(id_col).to_pylist()
-            h = _hex16(ids, seed)
-            return pa.table(
-                {
-                    "__rpray_g": pa.array(
-                        [
-                            str(k)
-                            for k in t.column(group_col).to_pylist()
-                        ],
-                        pa.string(),
-                    ),
-                    "__rpray_h": pa.array(
-                        [x.decode() for x in h], pa.string()
-                    ),
-                    "__rpray_id": pa.array(
-                        [str(v) for v in ids], pa.string()
-                    ),
-                    "__rpray_tok": pa.array(
-                        _tokens(t), pa.float64()
-                    ),
-                }
-            )
-
-        narrow = ds.map_batches(_narrow, batch_format="pyarrow")
+        narrow = ds.map_batches(
+            _key_join_narrow,
+            fn_kwargs=dict(
+                group_col=group_col, id_col=id_col, seed=seed,
+                tokens=_tokens,
+            ),
+            batch_format="pyarrow",
+        )
         refined = narrow.join(
             bnd,
             join_type="inner",

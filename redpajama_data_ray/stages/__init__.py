@@ -1,17 +1,11 @@
 from .ids import assign_ids
 from .langid import LangIdStage
 from .perplexity import PerplexityStage
-from .signals import SignalStage
 from .minhash import MinHashStage
-from .pii import scrub_batch
-from .decide import DecideStage
 
 __all__ = [
     "assign_ids",
     "LangIdStage",
     "PerplexityStage",
-    "SignalStage",
     "MinHashStage",
-    "scrub_batch",
-    "DecideStage",
 ]

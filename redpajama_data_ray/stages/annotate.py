@@ -13,19 +13,15 @@ over the built columns. The per-document ``DocView`` +
 ``SignalKernel`` path, ``importance.token_hashes`` and the scalar
 ``rules.decide`` are the oracles the batch path is tested against.
 
-The default plan runs it as Ray Data *tasks* through
+``pipelines.quality.annotate`` runs it as Ray Data *tasks* through
 ``CachedAnnotateStage``: a small picklable callable that builds the
 stage at most once per worker process and keeps it in a module-level
 slot, keyed by a digest taken on the driver. Ray then fuses
 read -> ids -> annotate -> write into one task per read block, which
 uses every CPU, starts no actor and hands no batch between operators.
-The ``pairs`` plan still runs ``AnnotateStage`` in an actor pool
-behind ``ModelPairStage``.
 
-The per-model stages in ``langid.py`` / ``perplexity.py`` / ``signals.py``
-/ ``minhash.py`` remain available for heterogeneous scaling (e.g. give
-the perplexity pool more actors than langid on a real cluster) — every
-plan produces identical columns (tested).
+The per-model stages in ``langid.py`` / ``perplexity.py`` /
+``minhash.py`` serve the side pipelines of ``pipelines/extras.py``.
 """
 
 from __future__ import annotations
@@ -50,32 +46,6 @@ from ..functions.perplexity import PerplexityScorer
 from ..config import BUCKET_TO_INT
 
 
-class ModelPairStage:
-    """Model half of the ``fused="pairs"`` plan: the two true model
-    inferences (language ID + perplexity) in ONE actor pool, emitting
-    the same five columns the fused stage computes inline
-    (``lang_pred``, ``lang_score``, ``ppl``, ``ppl_bucket``,
-    ``ppl_bucket_int``). On a heterogeneous cluster this is the pool
-    you size/provision separately (real fastText/KenLM models are
-    memory-heavy); the kernel half follows as
-    ``AnnotateStage(use_model_columns=True)``."""
-
-    def __init__(
-        self,
-        text_column: str = "content",
-        langid_model_path=None,
-        ppl_model_path=None,
-    ):
-        from .langid import LangIdStage
-        from .perplexity import PerplexityStage
-
-        self.lid = LangIdStage(text_column, model_path=langid_model_path)
-        self.ppl = PerplexityStage(text_column, model_path=ppl_model_path)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.ppl(self.lid(batch))
-
-
 class AnnotateStage:
     def __init__(
         self,
@@ -92,27 +62,20 @@ class AnnotateStage:
         langid_model_path=None,
         ppl_model_path=None,
         classifier_model_path=None,
-        use_model_columns: bool = False,
         minhash_shingle_hash: str = "sha1",
-        tune_gc: bool = False,
     ):
         """``*_model_path``: optional user-supplied model artifacts
         (fastText ``.bin`` / KenLM binary via try-import hooks, or this
         repo's ``.npz``/``.npy`` offline formats — see
         functions/model_loading.py). They override both the embedded
-        stand-ins and any ``artifacts_dir`` equivalents.
-
-        ``tune_gc``: freeze the loaded state and relax the cyclic-GC
-        thresholds. Both settings hold for the whole process, so only
-        an actor that owns its process sets it; never a stage built
-        in a shared task worker or the driver."""
+        stand-ins and any ``artifacts_dir`` equivalents."""
         self.artifacts_dir = artifacts_dir
         self.text_column = text_column
         self.include_scrub = include_scrub
         self.rules = rules
         # plugin signals are captured at pipeline-construction time and
         # shipped by value (cloudpickle) — a module-level registry would
-        # be empty inside fresh actor processes
+        # be empty inside fresh worker processes
         self.extra_signals = list(extra_signals or [])
         # per-language signal tables (stopwords / LDNOOBW), selected per
         # row by predicted language — the reference selects them per
@@ -122,21 +85,13 @@ class AnnotateStage:
             for lang in ("en", "fr", "de", "es", "it")
         }
         self.kernel = self.kernels["en"]
-        # use_model_columns: the "pairs" plan — lang/ppl columns come
-        # from an upstream ModelPairStage pool, so no models load here
-        self.use_model_columns = use_model_columns
-        if use_model_columns:
-            self.langid = None
-            self.pplx = None
-        elif langid_model_path:
+        if langid_model_path:
             from ..functions.model_loading import load_langid_model
 
             self.langid = load_langid_model(langid_model_path)
         else:
             self.langid = NGramLangId()
-        if use_model_columns:
-            pass
-        elif ppl_model_path:
+        if ppl_model_path:
             from ..functions.model_loading import load_perplexity_model
 
             self.pplx = load_perplexity_model(ppl_model_path)
@@ -198,16 +153,6 @@ class AnnotateStage:
             self.dsir = DSIRScorer(tgt, src, lam_t, lam_s)
         else:
             self.dsir = None
-        if tune_gc:
-            # the per-doc kernels churn small acyclic objects (tuples,
-            # str slices); cyclic-GC passes add pure overhead in a
-            # long-lived actor, so freeze the model state and relax
-            # the thresholds
-            import gc
-
-            gc.collect()
-            gc.freeze()
-            gc.set_threshold(200_000, 100, 100)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = [
@@ -215,20 +160,13 @@ class AnnotateStage:
             for t in batch.column(self.text_column).to_pylist()
         ]
         n = len(texts)
-        if self.use_model_columns:
-            langs = batch.column("lang_pred").to_pylist()
-            lang_scores = batch.column("lang_score").to_pylist()
-            ppls = batch.column("ppl").to_pylist()
-            buckets = batch.column("ppl_bucket").to_pylist()
-            bucket_ints = batch.column("ppl_bucket_int").to_pylist()
-        else:
-            preds = [self.langid.predict(t) for t in texts]
-            langs = [lang for lang, _ in preds]
-            lang_scores = [score for _, score in preds]
-            scores = [self.pplx.score(t) for t in texts]
-            ppls = [ppl for ppl, _ in scores]
-            buckets = [bucket for _, bucket in scores]
-            bucket_ints = [BUCKET_TO_INT.get(b) for b in buckets]
+        preds = [self.langid.predict(t) for t in texts]
+        langs = [lang for lang, _ in preds]
+        lang_scores = [score for _, score in preds]
+        scores = [self.pplx.score(t) for t in texts]
+        ppls = [ppl for ppl, _ in scores]
+        buckets = [bucket for _, bucket in scores]
+        bucket_ints = [BUCKET_TO_INT.get(b) for b in buckets]
 
         # doc and line signals over the whole batch; each row reads the
         # stop-word / LDNOOBW tables of its predicted language (en for

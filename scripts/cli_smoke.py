@@ -87,6 +87,21 @@ with open(tok_json, "w") as f:
 
 run("quality", ["quality", "--input", SF, "--output", "{OUT}"])
 run(
+    "quality resume",
+    ["quality", "--input", SF, "--output", "{OUT}", "--resume"],
+)
+# one committed partition per synthesized corpus shard, not the sf
+# dir's own tables
+from redpajama_data_ray.state.manifest import Manifest  # noqa: E402
+
+_shards = sorted(
+    os.path.splitext(f)[0] for f in os.listdir(CORPUS) if f.endswith(".parquet")
+)
+_parts = sorted(Manifest(os.path.join(WORK, "quality_resume")).committed())
+if _parts != _shards:
+    failures.append(("quality resume", f"partitions {_parts} != shards {_shards}"))
+    print(f"FAIL quality resume manifest: {_parts} != {_shards}")
+run(
     "quality with models",
     [
         "quality", "--input", SF, "--output", "{OUT}",

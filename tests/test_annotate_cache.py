@@ -99,8 +99,7 @@ def test_model_rewritten_at_same_path_is_reloaded(tmp_path):
 def test_cached_stage_leaves_process_gc_alone(monkeypatch):
     """Task workers are shared with every later task of the session:
     building and running the cached stage must not change the
-    process's GC thresholds or freeze its objects (only an actor,
-    which owns its process, opts in with ``tune_gc=True``)."""
+    process's GC thresholds or freeze its objects."""
     monkeypatch.setattr(annotate_mod, "_STAGE_SLOT", (None, None))
     before = gc.get_threshold(), gc.get_freeze_count()
     out = CachedAnnotateStage(rules=RuleConfig(), include_scrub=True)(

@@ -4,6 +4,7 @@ import json
 import os
 
 import pyarrow.parquet as pq
+import pytest
 
 from redpajama_data_ray.cli import main
 from redpajama_data_ray.sources.corpus import generate_corpus_table
@@ -99,3 +100,71 @@ def test_parallel_resume_four_shards_two_precommitted(tmp_path, capsys):
         rec["metrics"]["rows"] for rec in m2.committed().values()
     )
     assert total == t.num_rows
+
+
+def test_resume_sf_dir_partitions_the_synthesized_corpus(tmp_path, capsys):
+    """A scale-factor dir names its synthesized corpus on the resume
+    path as on the plain one: one partition per corpus shard, not the
+    sf dir's own parquet tables (or nothing, as here)."""
+    from redpajama_data_ray.sources.corpus import ensure_corpus_parquet
+
+    sf_dir = tmp_path / "sf0.0001"
+    sf_dir.mkdir()
+    out = str(tmp_path / "out")
+    assert main(
+        ["quality", "--input", str(sf_dir), "--output", out, "--resume"]
+    ) == 0
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    corpus = ensure_corpus_parquet(0.0001)
+    shards = {
+        os.path.splitext(f)[0]
+        for f in os.listdir(corpus)
+        if f.endswith(".parquet")
+    }
+    assert res["partitions"] == len(shards) > 1
+    committed = Manifest(out).committed()
+    assert set(committed) == shards
+    assert sum(r["metrics"]["rows"] for r in committed.values()) == sum(
+        pq.read_metadata(os.path.join(corpus, f"{s}.parquet")).num_rows
+        for s in shards
+    )
+
+
+def test_resume_single_file_input(tmp_path, capsys):
+    """A single-file --input is one resumable partition, not a silent
+    fall-back to the plain write."""
+    src = tmp_path / "one.parquet"
+    pq.write_table(generate_corpus_table(12, seed=5), str(src))
+    out = str(tmp_path / "out")
+    assert main(
+        ["quality", "--input", str(src), "--output", out, "--resume"]
+    ) == 0
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["partitions"] == 1
+    committed = Manifest(out).committed()
+    assert set(committed) == {"one"}
+    assert committed["one"]["metrics"]["rows"] == 12
+
+
+@pytest.mark.parametrize(
+    "extra, match",
+    [
+        (["--max-docs", "5"], "--max-docs"),
+        (["--shuffle-files"], "--shuffle-files"),
+        (["--input", "{missing}"], "does not exist"),
+    ],
+)
+def test_resume_refuses_before_any_output(tmp_path, extra, match):
+    """--max-docs and --shuffle-files have no per-shard meaning, and a
+    missing input has no shards: the resume path refuses them, naming
+    the flag or the path, before any output is written."""
+    src = tmp_path / "one.parquet"
+    pq.write_table(generate_corpus_table(4, seed=5), str(src))
+    out = tmp_path / "out"
+    extra = [a.format(missing=tmp_path / "missing.parquet") for a in extra]
+    with pytest.raises(SystemExit, match=match):
+        main(
+            ["quality", "--input", str(src), "--output", str(out),
+             "--resume", *extra]
+        )
+    assert not out.exists()

@@ -87,17 +87,33 @@ def test_pii_rule_optional():
 # ---------------------------------------------------------------
 
 
+# the signal columns the rule layer reads (besides the PII counts)
+_RULE_SIGNALS = [
+    "rps_doc_word_count",
+    "rps_doc_mean_word_length",
+    "rps_doc_symbol_to_word_ratio",
+    "rps_doc_frac_lines_end_with_ellipsis",
+    "rps_doc_frac_no_alph_words",
+    "rps_doc_frac_unique_words",
+    "rps_doc_frac_chars_dupe_10grams",
+    "rps_doc_frac_chars_top_2gram",
+    "rps_doc_lorem_ipsum",
+    "rps_doc_ldnoobw_words",
+    "lang_score",
+    "ppl_bucket",
+]
+
+
 def _random_signal_table(n, seed):
     import random
 
     import pyarrow as pa
 
     from redpajama_data_ray.functions.pii import PII_COUNT_COLUMNS
-    from redpajama_data_ray.stages.decide import _NEEDED
 
     rng = random.Random(seed)
     cols = {}
-    for name in _NEEDED:
+    for name in _RULE_SIGNALS:
         if name == "ppl_bucket":
             cols[name] = [
                 rng.choice(["head", "middle", "tail", None])
@@ -120,11 +136,11 @@ def _random_signal_table(n, seed):
 
 
 def test_decide_table_matches_scalar_oracle():
-    """decide_batch (vectorized decide_table) must be bit-identical to
-    per-row scalar decide — keep AND the ordered drop_reasons lists —
-    across nulls, NaNs and threshold variants (including inverted
-    bounds, where the scalar's elif chain suppresses the high rule)."""
-    from redpajama_data_ray.stages.decide import decide_batch
+    """Vectorized decide_table must be bit-identical to per-row scalar
+    decide — keep AND the ordered drop_reasons lists — across nulls,
+    NaNs and threshold variants (including inverted bounds, where the
+    scalar's elif chain suppresses the high rule)."""
+    from redpajama_data_ray.functions.rules import decide_table
 
     t = _random_signal_table(4000, seed=11)
     rows = {k: v.to_pylist() for k, v in zip(t.column_names, t.columns)}
@@ -134,9 +150,7 @@ def test_decide_table_matches_scalar_oracle():
         RuleConfig(min_word_count=50, max_word_count=20),
         RuleConfig(drop_bucket="middle", min_lang_score=25.0),
     ):
-        out = decide_batch(t, cfg)
-        keeps = out.column("keep").to_pylist()
-        reasons = out.column("drop_reasons").to_pylist()
+        keeps, reasons = decide_table(t, cfg)
         for i in range(t.num_rows):
             ek, er = decide({k: rows[k][i] for k in rows}, cfg)
             assert keeps[i] == ek
@@ -146,20 +160,20 @@ def test_decide_table_matches_scalar_oracle():
 def test_decide_table_absent_column_is_all_none():
     import pyarrow as pa
 
-    from redpajama_data_ray.stages.decide import decide_batch
+    from redpajama_data_ray.functions.rules import decide_table
 
     t = pa.table({"rps_doc_word_count": [5.0, 20.0]})
-    out = decide_batch(t)
+    keeps, reasons = decide_table(t)
     for i, wc in enumerate((5.0, 20.0)):
         ek, er = decide({"rps_doc_word_count": wc})
-        assert out.column("keep")[i].as_py() == ek
-        assert out.column("drop_reasons")[i].as_py() == er
+        assert keeps[i] == ek
+        assert reasons[i] == er
 
 
-def test_decide_batch_replaces_stale_decision_columns():
+def test_decide_table_ignores_stale_decision_columns():
     import pyarrow as pa
 
-    from redpajama_data_ray.stages.decide import decide_batch
+    from redpajama_data_ray.functions.rules import decide_table
 
     t = pa.table(
         {
@@ -168,10 +182,8 @@ def test_decide_batch_replaces_stale_decision_columns():
             "drop_reasons": pa.array([[]], pa.list_(pa.string())),
         }
     )
-    out = decide_batch(t)
-    assert out.column("keep").to_pylist() == [False]
-    # absent mean_word_length is all-None, which fails its minimum too
-    assert out.column("drop_reasons").to_pylist() == [
-        ["word_count_low", "mean_word_length_low"]
-    ]
-    assert out.schema.names.count("keep") == 1
+    keep, reasons = decide_table(t)
+    # the stale keep=True takes no part in the decision; absent
+    # mean_word_length is all-None, which fails its minimum too
+    assert keep.tolist() == [False]
+    assert reasons == [["word_count_low", "mean_word_length_low"]]

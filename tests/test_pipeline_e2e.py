@@ -2,9 +2,11 @@
 
 The oracle recomputes every signal, model score, scrub, and keep/drop
 decision per row with the pure-Python kernels (the same formulas the
-reference implements row-at-a-time); the pipeline must match labels at
-F1 >= 0.99 (expect 1.0) and per-row sha256 of retained scrubbed content
-(BASELINE.json acceptance criteria).
+reference implements row-at-a-time): doc and line signals through
+``SignalKernel``, the classifier and DSIR scores from the text, and
+minhash from the normalized words. The pipeline must match labels at
+F1 >= 0.99 (expect 1.0), per-row sha256 of retained scrubbed content
+(BASELINE.json acceptance criteria), and every oracle column exactly.
 """
 
 import hashlib
@@ -13,18 +15,38 @@ import pytest
 import ray.data
 
 from redpajama_data_ray.config import BUCKET_TO_INT
-from redpajama_data_ray.functions.doc_signals import SignalKernel
-from redpajama_data_ray.functions.langid import NGramLangId
+from redpajama_data_ray.functions.classifier import QualityClassifier
+from redpajama_data_ray.functions.doc_signals import (
+    LINE_SIGNAL_NAMES,
+    SignalKernel,
+)
+from redpajama_data_ray.functions.importance import (
+    DSIRScorer,
+    build_hash_dist,
+)
+from redpajama_data_ray.functions.langid import _SEED_TEXT, NGramLangId
+from redpajama_data_ray.functions.minhash import MinHasher
 from redpajama_data_ray.functions.perplexity import PerplexityScorer
 from redpajama_data_ray.functions.pii import scrub_text
 from redpajama_data_ray.functions.rules import RuleConfig, decide
 from redpajama_data_ray.pipelines.quality import QualityConfig, annotate
 from redpajama_data_ray.sources.corpus import generate_corpus_table
+from redpajama_data_ray.text import normalize
 
 N_ROWS = 300
 
 
-def oracle_row(content: str, kernels, langid, pplx):
+def _dsir_scorer():
+    """The stage's default DSIR distributions: the embedded natural
+    language seed text as target, the code seed text as source."""
+    tgt, lam_t = build_hash_dist(
+        [_SEED_TEXT[k] for k in ("en", "fr", "de", "es", "it")], 10_000
+    )
+    src, lam_s = build_hash_dist([_SEED_TEXT["code"]], 10_000)
+    return DSIRScorer(tgt, src, lam_t, lam_s)
+
+
+def oracle_row(content: str, kernels, langid, pplx, clf, dsir, hasher):
     lang, score = langid.predict(content)
     kernel = kernels.get(lang, kernels["en"])
     sigs = kernel.doc_signals(content)
@@ -45,6 +67,10 @@ def oracle_row(content: str, kernels, langid, pplx):
         "scrubbed_sha256": hashlib.sha256(
             scrubbed.encode("utf-8")
         ).hexdigest(),
+        "line_signals": kernel.line_signals(content),
+        "rps_doc_ml_quality_score": clf.score(content),
+        "rps_doc_importance_weight": dsir.score(content),
+        "signatures": hasher.banded_signatures(normalize(content).split()),
         **sigs,
     }
 
@@ -54,17 +80,19 @@ def pipeline_and_oracle():
     table = generate_corpus_table(N_ROWS, seed=7)
     ds = ray.data.from_arrow(table)
     out = annotate(
-        ds, QualityConfig(max_actors=2, include_minhash=False)
+        ds, QualityConfig(max_actors=2, include_minhash=True)
     ).to_pandas()
 
     kernels = {
         lang: SignalKernel(language=lang)
         for lang in ("en", "fr", "de", "es", "it")
     }
-    langid = NGramLangId()
-    pplx = PerplexityScorer()
+    models = (
+        NGramLangId(), PerplexityScorer(), QualityClassifier(),
+        _dsir_scorer(), MinHasher(),
+    )
     oracle = [
-        oracle_row(c, kernels, langid, pplx)
+        oracle_row(c, kernels, *models)
         for c in table.column("content").to_pylist()
     ]
     out = out.set_index("doc_id")
@@ -116,6 +144,41 @@ def test_signal_values_match_oracle_exactly(pipeline_and_oracle):
                 )
 
 
+def _null(v):
+    return v is None or (isinstance(v, float) and v != v)
+
+
+def test_line_classifier_dsir_minhash_match_oracle_exactly(
+    pipeline_and_oracle,
+):
+    """The columns the batch path computes apart from the doc signals,
+    each against its per-document function: line signals through
+    ``SignalKernel.line_signals``, the classifier and DSIR scores from
+    the text, minhash from the normalized words."""
+    out, oracle = pipeline_and_oracle
+    hashed = 0
+    for doc_id, row in out.iterrows():
+        o = oracle[doc_id]
+        for name in LINE_SIGNAL_NAMES:
+            want = o["line_signals"][name]
+            got = None if _null(row[name]) else list(row[name])
+            assert got == want, (doc_id, name)
+        for name in ("rps_doc_ml_quality_score", "rps_doc_importance_weight"):
+            want = o[name]
+            if want is None:
+                assert _null(row[name]), (doc_id, name)
+            else:
+                assert row[name] == want, (doc_id, name, row[name], want)
+        for key, want in o["signatures"].items():
+            got = row[key]
+            if want is None:
+                assert _null(got), (doc_id, key)
+            else:
+                assert [bytes(b) for b in got] == want, (doc_id, key)
+                hashed += 1
+    assert hashed > 100
+
+
 def test_scrubbed_sha256_equality_on_retained(pipeline_and_oracle):
     out, oracle = pipeline_and_oracle
     checked = 0
@@ -149,7 +212,7 @@ def test_batchsize_invariance():
     for bs, blocks in ((16, 8), (64, 2)):
         ds = ray.data.from_arrow(table).repartition(blocks)
         cfg = QualityConfig(
-            batch_size=bs, actor_batch_size=bs, max_actors=2,
+            actor_batch_size=bs, max_actors=2,
             include_minhash=True, include_classifier=False,
             include_dsir=False, include_line_signals=False,
         )

@@ -384,30 +384,6 @@ def test_no_eos_vocab_degrades_gracefully(tmp_path):
     assert clf.score("zzz qqq") == 0.5
 
 
-def test_unfused_plan_rejects_classifier_model_path():
-    import pyarrow as pa
-    import ray.data
-    from redpajama_data_ray.pipelines.quality import (
-        QualityConfig, annotate,
-    )
-
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "repo": ["r"], "path": ["p"], "commit": ["c"],
-                "lang": ["python"], "content": ["x = 1"],
-            }
-        )
-    )
-    with pytest.raises(ValueError, match="fused"):
-        annotate(
-            ds,
-            QualityConfig(
-                fused=False, classifier_model_path="clf.npy"
-            ),
-        )
-
-
 # ------------------------------------------------------------------
 # pure-numpy supervised trainer (reference ft_trainer.py lifecycle)
 # ------------------------------------------------------------------
