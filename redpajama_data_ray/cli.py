@@ -309,7 +309,7 @@ def cmd_redecide(args) -> dict:
 
     # drop-reason histogram: fixed-width per-batch partials (<= one
     # row per rule id + 2 counters per block) through the standard
-    # tree combine — nothing row-scaled reaches the driver
+    # single-root combine — nothing row-scaled reaches the driver
     def _partials(t: pa.Table) -> pa.Table:
         vc = pc.list_flatten(t.column("drop_reasons")).value_counts()
         keys = vc.field("values").to_pylist()

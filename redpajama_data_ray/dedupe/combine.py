@@ -1,21 +1,55 @@
-"""Tree-combined per-key aggregation for dedup.
+"""Per-key aggregation for dedup: one root task, or a hash shuffle.
 
 Dedup needs, per key: total count and the winning (min) order value.
 A full ``ds.groupby(key)`` is the right shape when the distinct-key
 table itself exceeds node memory, but it pays a full sort/hash shuffle.
-For dedup the combine is associative and the partials are tiny (one row
-per distinct key per block, fixed width), so a two-level tree of
-vectorized pyarrow group_bys is much cheaper:
+For dedup the combine is associative and the partials are small (one
+row per distinct key per block), so below ``TREE_STATS_LIMIT`` partial
+rows every partial block goes straight to ONE vectorized combine:
 
     map_batches(partial)            # per-block (key, cnt, min_order)
-      -> repartition(fanin)         # tiny fixed-width rows
-      -> map_batches(combine)       # second-level partials
-      -> repartition(1)
-      -> map_batches(combine)       # final (key, cnt, min_order)
+      -> block refs                 # the one execution of the partials
+      -> @ray.remote root           # concat non-empty blocks, combine,
+                                    # min_cnt filter (exact: it sees
+                                    # every partial)
+      -> from_arrow_refs([root])    # the result stays in the object store
+
+This replaced a two-level tree (``repartition(8)`` -> combine ->
+``repartition(1)`` -> combine). Measured on a 1-CPU host with Ray at 2
+CPUs, outputs equal: the tree took 0.94 s against 0.44-0.54 s for the
+root on a 60k-row exact-dedup table, and 0.90-1.04 s against
+0.46-0.51 s on a 536k-row LSH band table, for ~0.25 s of task time —
+the two repartition barriers cost more than the combines they fed,
+while the first combine level cut 59,209 partial rows only to 56,386.
+A lazy ``repartition(1)`` + combine took 0.68-0.73 s. The root's
+result stays in the object store: fetching it into the driver raised
+the ``dedup_planted`` benchmark's driver peak RSS from 284 MB to
+318-327 MB.
+
+Keys that repeat in every block (token and line histograms, count-file
+compaction) are where the tree's first level did cut rows: it handed
+its root at most 8 partial rows per distinct key, while this root
+takes every partial block. The concat is zero-copy over the
+object-store blocks, though, so the root's heap is the group-by's hash
+table over distinct keys, not the partial rows. ``combine_counts``
+with the same inputs, tree against root, 3 runs each (peak Arrow
+heap of the tree's largest combine task against the root task's):
+
+- vocab partials of a 20k-doc synthetic code corpus in 256 blocks
+  (189,075 partial rows, 80,515 tokens; the tree's root got 97,703):
+  0.54-0.55 s against 0.09-0.13 s, 8.5-9.6 MB against 7.6-8.6 MB;
+- 64 blocks each holding the same 100k string tokens (6.4M partial
+  rows, 140 MB; the tree's root got 800k): 0.75-0.82 s against
+  0.32-0.34 s, 14.5 MB against 13.4-14.5 MB;
+- line-key partials of the same corpus (743,487 rows, 676,754 keys,
+  nearly all distinct, so both roots take about the same rows):
+  0.66-0.76 s against 0.22-0.24 s, 47.5 MB against 53.2 MB. The
+  extra ~10 MB is Arrow's group-by running over 256 chunks instead
+  of one; it grows with the block count, not with repeated keys.
 
 Callers pass ``distributed=True`` to switch to ``ds.groupby`` when the
 distinct-key count is too large for a single reduce task (at 10^12 keys
-the tree root would not fit; the shuffle is then the correct cost).
+the root would not fit; the shuffle is then the correct cost).
 """
 
 from __future__ import annotations
@@ -54,17 +88,18 @@ def scoped_hash_shuffle(ctx):
 
 
 def _canary_wrap(kernel, key: str):
-    """Wrap a per-block combine kernel to append ONE null-``key``
-    sentinel row per invocation. The keyed-repartition + per-block
-    combine pattern is exact ONLY while every partition lands in the
-    kernel as a single block; if Ray ever splits an oversized
-    partition, a key's partials combine in fragments and a min_cnt /
-    min_count filter silently under-counts (missed dup keys). Real
-    partial rows never carry a null key — every emitter builds its
-    key arrays from numpy / ``str()``, which cannot hold nulls — so
-    the sentinel is unambiguous; :func:`_canary_strip` removes the
-    sentinels and fails loudly when they outnumber the shuffle
-    partitions (same canary as functions/splits.py).
+    """Wrap a per-block combine kernel to append ONE all-null sentinel
+    row per invocation. The keyed-repartition + per-block combine
+    pattern is exact ONLY while every partition lands in the kernel as
+    a single block; if Ray ever splits an oversized partition, a key's
+    partials combine in fragments and a min_cnt / min_count filter
+    silently under-counts (missed dup keys). :func:`_canary_strip`
+    removes the sentinels by a ``marker`` column real rows never hold
+    null in — the key of :func:`dup_keys_from_partials` (its emitters
+    build keys from numpy / ``str()``), the count of :func:`key_stats`
+    (whose keys come from user data and may be null) — and fails
+    loudly when they outnumber the shuffle partitions (same canary as
+    functions/splits.py).
 
     Measured on Ray 2.49: the hash-shuffle aggregator concatenates a
     partition's output into ONE block even when the partition is 8x
@@ -87,14 +122,14 @@ def _canary_wrap(kernel, key: str):
 
 
 def _canary_strip(
-    tbl: Dataset, key: str, nparts: int, what: str
+    tbl: Dataset, marker: str, nparts: int, what: str
 ) -> Dataset:
     import pyarrow.compute as pc
 
     n_total = tbl.count()
 
     def _drop(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_valid(t.column(key)))
+        return t.filter(pc.is_valid(t.column(marker)))
 
     real = tbl.map_batches(_drop, batch_format="pyarrow").materialize()
     n_real = real.count()
@@ -121,31 +156,89 @@ def _meta_row_bound(ds: Dataset) -> "int | None":
         return None
 
 
+import ray
+
+
+@ray.remote
+def _combine_root(combine, *tables):
+    """Root of :func:`key_stats` and :func:`combine_counts`: every
+    partial block (zero-copy plasma views, passed as resolved args) in
+    ONE vectorized ``combine``. Zero-row blocks are dropped, so
+    schema-less blocks left by an upstream filter never reach the
+    concat; when nothing has rows, ``combine`` runs on one typed empty
+    block so the output keeps its schema."""
+    typed = [t for t in tables if t.num_columns]
+    rows = [t for t in typed if t.num_rows]
+    if rows:
+        # a block whose keys are all null carries a null-typed column;
+        # "default" promotion unifies it with the typed blocks
+        return combine(pa.concat_tables(rows, promote_options="default"))
+    if typed:
+        return combine(typed[0])
+    return pa.table({})
+
+
+def _root_combine(partials: Dataset, combine) -> Dataset:
+    """Run ``partials`` once and combine every block in one root task;
+    the result stays in the object store (eager: runs when called).
+
+    The block refs come from the ref bundles, not ``to_arrow_refs()``:
+    that one also asks for the schema, which re-runs the partial stage
+    under a ``limit(1)``. Every partial block is already an Arrow
+    table, so there is nothing to convert."""
+    import ray.data as rd
+
+    refs = [
+        ref
+        for bundle in partials.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    return rd.from_arrow_refs([_combine_root.remote(combine, *refs)])
+
+
+def _min_cnt_filter(g: pa.Table, cnt: str, min_cnt: "int | None"):
+    import pyarrow.compute as pc
+
+    if min_cnt is None:
+        return g
+    return g.filter(pc.greater_equal(g.column(cnt), min_cnt))
+
+
+def _fits_root(partials: Dataset, source: Dataset) -> bool:
+    """True when ``partials`` (per-block partials of ``source``) fit the
+    single root task. Partials can't exceed their input rows, so when
+    ``source``'s row count is knowable from read metadata alone (pure
+    parquet scan — the common query path) and fits, this costs ZERO
+    extra passes. Otherwise: a streaming count pass, NOT
+    materialize-then-count — pinning the partials pins an input-sized
+    dataset in the object store (the sf4 soak ran the box out of disk
+    that way in dup_keys_from_partials). One extra scan of the cheap
+    partial stage decides the path without holding anything."""
+    bound = _meta_row_bound(source)
+    if bound is not None and bound <= TREE_STATS_LIMIT:
+        return True
+    return partials.count() <= TREE_STATS_LIMIT
+
+
 def key_stats(
     ds: Dataset,
     key: str,
     order_col: str,
-    fanin: int = 8,
-    distributed: "bool | None" = False,
+    distributed: "bool | None" = None,
     track_ties: bool = False,
     min_cnt: "int | None" = None,
 ) -> Dataset:
-    """Dataset of (key, min_order, cnt) — one row per distinct key.
+    """Dataset of (key, min_order, cnt) — one row per distinct key with
+    ``cnt >= min_cnt`` (every key when ``min_cnt`` is None).
 
-    ``min_cnt`` (with ``track_ties``) pushes the caller's count filter
-    INTO the per-block combine of the tracked distributed path, so
-    the eager materialize holds only the (tiny) filtered table — not
-    one row per distinct key, which at sf4 scale is an input-sized
-    object-store pin (the disk-exhaustion mode the spill-through
-    sizing work removed elsewhere). The tree path ignores it: its
-    intermediate combines see partial sums, where filtering would be
-    wrong, and its root is already bounded by TREE_STATS_LIMIT.
-
-    ``distributed=None`` (auto): count the per-block partials with a
-    streaming pass and pick the tree when they fit a single root task
-    (``TREE_STATS_LIMIT``) — the tree is ~30x faster than the shuffle
-    aggregate at 10^6-row scale (measured; see ``tune_shuffle_context``
-    notes).
+    ``distributed=None`` (auto): pick the single root task when the
+    per-block partials fit it (``TREE_STATS_LIMIT``; see
+    :func:`_fits_root`), else the shuffle. ``False`` forces the root,
+    ``True`` the shuffle. The root path runs when this is called, not
+    lazily: the partial stage executes once, its blocks go to one
+    ``@ray.remote`` combine, and the returned dataset wraps that task's
+    output ref. The root sees every partial, so ``min_cnt`` is exact
+    there and its output holds only the filtered keys.
 
     ``track_ties=True`` adds a ``tie_cnt`` column — how many rows of
     the key achieve ``min_order``. Keep-first delivery needs it when
@@ -155,7 +248,9 @@ def key_stats(
     distributed path uses hash-repartition + per-block combine (whole
     keys co-located — the pinned one-block-per-partition invariant)
     because tie summation is conditional on the global min and can't
-    be expressed with builtin shuffle aggregates."""
+    be expressed with builtin shuffle aggregates; ``min_cnt`` is
+    applied in that combine, so the eager materialize holds only the
+    filtered table, not an input-sized one."""
 
     import pyarrow.compute as pc
 
@@ -211,103 +306,75 @@ def key_stats(
             pc.take(tg.column("tie_cnt"), pos).cast(pa.int64()),
         )
 
+    def combine_filtered(t: pa.Table) -> pa.Table:
+        # only ever run where ``t`` holds every partial of its keys (the
+        # root, or one co-located hash partition): min_cnt is exact
+        return _min_cnt_filter(combine(t), "cnt", min_cnt)
+
     partials = ds.map_batches(partial, batch_format="pyarrow")
     if distributed is None:
-        # per-block partials can't exceed input rows, so when the
-        # input's row count is knowable from read metadata alone
-        # (pure parquet scan — the common query path) and fits the
-        # tree root, pick the tree with ZERO extra passes. Otherwise:
-        # streaming count pass, NOT materialize-then-count — pinning
-        # the partials pins an input-sized dataset in the object
-        # store (the sf4 soak ran the box out of disk that way in
-        # dup_keys_from_partials). One extra scan of the cheap
-        # partial stage decides the path without holding anything.
-        bound = _meta_row_bound(ds)
-        if bound is not None and bound <= TREE_STATS_LIMIT:
-            distributed = False
-        else:
-            distributed = partials.count() > TREE_STATS_LIMIT
-    if distributed:
-        if not track_ties:
-            return partials.groupby(key).aggregate(
-                Min("min_order", alias_name="min_order"),
-                Sum("cnt", alias_name="cnt"),
+        distributed = not _fits_root(partials, ds)
+    if not distributed:
+        return _root_combine(partials, combine_filtered)
+    if not track_ties:
+        out = partials.groupby(key).aggregate(
+            Min("min_order", alias_name="min_order"),
+            Sum("cnt", alias_name="cnt"),
+        )
+        if min_cnt is None:
+            return out
+        return out.map_batches(
+            lambda t: _min_cnt_filter(t, "cnt", min_cnt),
+            batch_format="pyarrow",
+        )
+    # tie summation is conditional on the per-key global min, so
+    # co-locate whole keys (hash repartition, eager under a scoped
+    # HASH_SHUFFLE override) and run the vectorized combine per
+    # block — the dup_keys_from_partials fallback pattern
+    nparts = auto_partitions()
+    with scoped_hash_shuffle(partials.context):
+        out = (
+            partials.repartition(nparts, keys=[key])
+            .map_batches(
+                _canary_wrap(combine_filtered, key),
+                batch_format="pyarrow",
+                batch_size=None,
+                zero_copy_batch=True,
             )
-        # tie summation is conditional on the per-key global min, so
-        # co-locate whole keys (hash repartition, eager under a scoped
-        # HASH_SHUFFLE override) and run the vectorized combine per
-        # block — the dup_keys_from_partials fallback pattern
-
-        def combine_filtered(t: pa.Table) -> pa.Table:
-            # whole keys are co-located here, so the per-block counts
-            # ARE the global counts — min_cnt filtering is exact
-            g = combine(t)
-            if min_cnt is not None:
-                g = g.filter(pc.greater_equal(g.column("cnt"), min_cnt))
-            return g
-
-        nparts = auto_partitions()
-        with scoped_hash_shuffle(partials.context):
-            out = (
-                partials.repartition(nparts, keys=[key])
-                .map_batches(
-                    _canary_wrap(combine_filtered, key),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    zero_copy_batch=True,
-                )
-                .materialize()
-            )
-        return _canary_strip(out, key, nparts, "key_stats")
-    return (
-        partials.repartition(fanin)
-        .map_batches(combine, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow")
-    )
+            .materialize()
+        )
+    return _canary_strip(out, "cnt", nparts, "key_stats")
 
 
 def combine_counts(
     partials: Dataset,
     key: str,
     cnt: str = "cnt",
-    fanin: int = 8,
     distributed: "bool | None" = None,
 ) -> Dataset:
     """Sum already-partial per-key counts into global counts — the
     count-only sibling of :func:`key_stats`. ``partials`` holds one
-    fixed-width ``(key, cnt)`` row per distinct key per block (callers
-    pre-aggregate inside their own ``map_batches``, e.g. via
-    ``np.unique``), so the tree combine moves tiny rows; the hash
-    shuffle only pays off past ``TREE_STATS_LIMIT`` distinct keys
-    (``distributed=None`` measures and picks)."""
+    ``(key, cnt)`` row per distinct key per block (callers pre-aggregate
+    inside their own ``map_batches``, e.g. via ``np.unique``), so the
+    single root task moves small rows, and its heap grows with the
+    distinct keys, not with how often they repeat across blocks (module
+    docstring); the hash shuffle only pays off past
+    ``TREE_STATS_LIMIT`` partial rows (``distributed=None`` measures
+    and picks). Like :func:`key_stats`, the root path runs when this is
+    called, not lazily."""
 
     def combine(t: pa.Table) -> pa.Table:
         g = t.group_by(key).aggregate([(cnt, "sum")])
         return g.rename_columns([key, cnt])
 
     if distributed is None:
-        # partials rows ≤ their own input rows too, so the same
+        # partials rows <= their own input rows too, so the same
         # metadata shortcut applies when the caller hands us a pure
-        # read (rare — most callers pre-aggregate, giving None here)
-        bound = _meta_row_bound(partials)
-        if bound is not None and bound <= TREE_STATS_LIMIT:
-            distributed = False
-        else:
-            # streaming count pass — see key_stats for why no
-            # materialize
-            distributed = partials.count() > TREE_STATS_LIMIT
+        # read (rare — most callers pre-aggregate, giving a count pass)
+        distributed = not _fits_root(partials, partials)
     if distributed:
         return partials.groupby(key).aggregate(Sum(cnt, alias_name=cnt))
-    return (
-        partials.repartition(fanin)
-        .map_batches(combine, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow")
-    )
-
-
-import ray
+    return _root_combine(partials, combine)
 
 
 @ray.remote
@@ -535,9 +602,14 @@ def auto_partitions(cap: int = 256) -> int:
     return max(2, min(cap, cpus))
 
 
-# tree-combine root capacity: the root task holds one row per distinct
-# key; 50M x ~24 B fixed-width rows ~= 1.2 GB — a comfortable single
-# task. Above this, pay the hash-shuffle groupby instead.
+# single-root capacity of key_stats / combine_counts, in partial rows
+# (at most one per input row): the root task's arguments hold every
+# partial block, so this also bounds what one node's object store must
+# hold for it. An int key with its counts is ~24 B a row (50M ~= 1.2
+# GB); string keys (content hashes, shingles, tokens, BPE words) make
+# each row wider by the key's length. Above this, pay the hash-shuffle
+# groupby instead. (components.grouped_min keeps its own lazy tree
+# under the same limit.)
 TREE_STATS_LIMIT = 50_000_000
 
 

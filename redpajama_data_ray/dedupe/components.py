@@ -102,6 +102,11 @@ def propagate_min_labels(
             g = t.group_by(key).aggregate([(out, "min")])
             return g.rename_columns([key, out])
 
+        # this stays a LAZY tree, unlike combine.key_stats' eager
+        # single root: it feeds the label-propagation loop, where an
+        # eager root per grouped min doubled fuzzy_dedup(distributed=
+        # True) on 5k rows (15.0-16.6 s -> 28.4-28.9 s, 2 Ray CPUs).
+        # Fewer rounds, not cheaper rounds, is that path's fix.
         return (
             ds.map_batches(partial, batch_format="pyarrow")
             .repartition(8)

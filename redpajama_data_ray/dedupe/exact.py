@@ -21,7 +21,7 @@ parallel, with a size-adaptive delivery of the duplicate set:
      no driver-side state at all, at the cost of one corpus shuffle.
 
 ``distributed=None`` (default) auto-switches on the measured count;
-``False`` forces the legacy tree-combine + broadcast path (cheapest
+``False`` forces the single-root stats + broadcast path (cheapest
 when dups are known-rare); ``True`` forces the join path.
 """
 
@@ -92,11 +92,11 @@ def dup_key_stats(
     keep-first winner is ambiguous and needs group-based resolution).
 
     ``use_groupby=True`` is the scale path (hash-shuffled aggregate of
-    per-block partials); ``False`` uses the small-input tree combine
-    whose root is a single reduce task (``combine.key_stats``)."""
+    per-block partials); ``False`` uses the small-input combine whose
+    root is a single task (``combine.key_stats``); None picks by size."""
     from .combine import key_stats
 
-    stats = key_stats(
+    return key_stats(
         ds,
         key,
         order_col,
@@ -104,11 +104,6 @@ def dup_key_stats(
         track_ties=True,
         min_cnt=2,
     )
-
-    def only_dups(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["cnt"], 1))
-
-    return stats.map_batches(only_dups, batch_format="pyarrow")
 
 
 def _collect_winners(
@@ -485,7 +480,7 @@ def _dedup_impl(
 
     tune_shuffle_context()
     if distributed is False:
-        # legacy small-input path: tree-combined stats, broadcast mask
+        # legacy small-input path: single-root stats, broadcast mask
         winners = _collect_winners(
             dup_key_stats(ds, key, order_col, use_groupby=False), key
         )
@@ -503,6 +498,15 @@ def _dedup_impl(
         # empty materialized dup table loses its schema and crashes the
         # join with "No match for key field" otherwise)
         return ds if keep_winners else ds.limit(0)
+    if distributed is None and n_dup <= broadcast_limit:
+        # tied keys are a subset of the dup keys, so they fit the
+        # broadcast too: count them from the collected winners, with
+        # no extra execution and no groups fallback
+        winners = _collect_winners(dup, key)
+        main = _broadcast_filter(ds, winners, key, order_col, keep_winners)
+        return _with_tie_resolution(
+            main, ds, winners, key, order_col, keep_winners
+        )
     n_tied = dup.map_batches(
         lambda t: pa.table(
             {
@@ -522,33 +526,23 @@ def _dedup_impl(
     ).sum("n")
     if n_tied and n_tied > broadcast_limit:
         return _groups_fallback(ds, key, order_col, keep_winners)
-    tie_winners = None
-    if n_tied:
-        tie_winners = _collect_winners(
-            dup.map_batches(
-                lambda t: t.filter(
-                    pc.fill_null(pc.greater(t["tie_cnt"], 1), False)
-                ),
-                batch_format="pyarrow",
-            ),
-            key,
-        )
-    if distributed is None and n_dup <= broadcast_limit:
-        winners = _collect_winners(dup, key)
-        main = _broadcast_filter(ds, winners, key, order_col, keep_winners)
-        if tie_winners is not None:
-            return _with_tie_resolution(
-                main, ds, tie_winners, key, order_col, keep_winners
-            )
-        return main
     main = _join_filter(
         ds, dup, key, order_col, keep_winners, num_partitions, mask_limit
     )
-    if tie_winners is not None:
-        return _with_tie_resolution(
-            main, ds, tie_winners, key, order_col, keep_winners
-        )
-    return main
+    if not n_tied:
+        return main
+    tie_winners = _collect_winners(
+        dup.map_batches(
+            lambda t: t.filter(
+                pc.fill_null(pc.greater(t["tie_cnt"], 1), False)
+            ),
+            batch_format="pyarrow",
+        ),
+        key,
+    )
+    return _with_tie_resolution(
+        main, ds, tie_winners, key, order_col, keep_winners
+    )
 
 
 def exact_dedup(
@@ -563,7 +557,7 @@ def exact_dedup(
     """Keep one row (min order_col) per distinct value of ``key``.
 
     ``distributed``: None = auto (measure the dup count, broadcast when
-    small, join when large); False = legacy tree+broadcast; True =
+    small, join when large); False = single-root stats + broadcast; True =
     always the dataset-side join. ``mask_limit`` bounds the loser-set
     broadcast on the join path (see ``_join_filter``)."""
     return _dedup_impl(

@@ -59,8 +59,8 @@ def distributed_jaccard_pairs(
     """Exact n-gram-Jaccard near-dup pairs, Ray-native.
 
     Inverted-index shape: explode DISTINCT shingles per doc, find
-    shingles shared by >1 doc with the tree-combined counter
-    (dedupe/combine.py), and count pair intersections over only those
+    shingles shared by >1 doc with the size-adaptive counter
+    (``combine.key_stats``), and count pair intersections over only those
     shared shingles — the shared population is small by construction,
     so the pair table stays driver-sized (same scale argument as the
     LSH edge list, run_lsh.py:295-322). Shingle keys stay exact strings
@@ -116,11 +116,10 @@ def distributed_jaccard_pairs(
 
     # shingles shared by >1 doc
     shared = set()
-    for b in key_stats(exploded, "s", "doc").iter_batches(
+    for b in key_stats(exploded, "s", "doc", min_cnt=2).iter_batches(
         batch_size=65536, batch_format="pyarrow"
     ):
-        dup = b.filter(pa.compute.greater(b["cnt"], 1))
-        shared.update(dup.column("s").to_pylist())
+        shared.update(b.column("s").to_pylist())
     if not shared:
         return pa.table(
             {

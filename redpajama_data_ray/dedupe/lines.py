@@ -10,10 +10,10 @@ re-expresses that as two streaming Ray Data passes:
 1. **Count** — ``map_batches`` emits one ``(line_key, cnt)`` row per
    distinct *stripped* line per block (``np.unique`` in-batch combiner:
    the partials are fixed-width and tiny relative to text), then
-   :func:`~.combine.combine_counts` tree-combines (or hash-shuffles
-   past ``TREE_STATS_LIMIT``) into global counts. Lines whose stripped
-   form is empty never count (they are always kept — structure, not
-   content).
+   :func:`~.combine.combine_counts` combines in one root task (or
+   hash-shuffles past ``TREE_STATS_LIMIT``) into global counts. Lines
+   whose stripped form is empty never count (they are always kept —
+   structure, not content).
 2. **Deliver** — lines with ``cnt >= min_count`` form the *frequent*
    set. Below ``broadcast_limit`` it is sorted once driver-side,
    ``ray.put`` once, and every batch drops its frequent lines via a
@@ -120,7 +120,6 @@ def line_partials(
 def line_counts(
     ds: Dataset,
     text_col: str = "text",
-    fanin: int = 8,
     distributed: "bool | None" = None,
     sep: str = "\n",
 ) -> Dataset:
@@ -130,7 +129,6 @@ def line_counts(
     return combine_counts(
         line_partials(ds, text_col, sep=sep),
         key="line_key",
-        fanin=fanin,
         distributed=distributed,
     )
 
@@ -171,7 +169,6 @@ def line_dedup(
     min_count: int = 2,
     distributed: "bool | None" = None,
     broadcast_limit: int = DEFAULT_MASK_BROADCAST_LIMIT,
-    fanin: int = 8,
     num_partitions: "int | None" = None,
     sep: str = "\n",
 ) -> Dataset:

@@ -182,15 +182,18 @@ def explode_bands(sig_column: str):
     return _explode
 
 
-def _dup_band_hashes(exploded: Dataset, distributed: bool = False) -> Set[int]:
-    """Band hashes appearing more than once (tree-combined counts)."""
+def _dup_band_hashes(
+    exploded: Dataset, distributed: "bool | None" = None
+) -> Set[int]:
+    """Band hashes appearing more than once (``key_stats`` counts)."""
     from .combine import key_stats
 
-    agg = key_stats(exploded, "band_hash", "id_int", distributed=distributed)
+    agg = key_stats(
+        exploded, "band_hash", "id_int", distributed=distributed, min_cnt=2
+    )
     dups: Set[int] = set()
     for batch in agg.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        d = batch.filter(pc.greater(batch["cnt"], 1))
-        dups.update(d.column("band_hash").to_pylist())
+        dups.update(batch.column("band_hash").to_pylist())
     return dups
 
 
@@ -281,21 +284,18 @@ def cluster_labels(
         sign_pairs, batch_format="pyarrow"
     )
 
-    # per-band counts, then keep only duplicated bands (object store).
-    # Stats path is size-adaptive: the tree combine (vectorized pyarrow
-    # group_bys, single-task root) is ~30x faster than Ray's shuffle
-    # aggregate at 10^6-row scale but its root must hold every distinct
-    # band hash in one task — above TREE_STATS_LIMIT exploded rows,
-    # switch to the hash-shuffle groupby (the correct all-to-all cost).
-    stats = key_stats(
+    # counts of the duplicated bands only (object store). Stats path is
+    # size-adaptive: the single root task (one vectorized pyarrow
+    # group_by over every per-block partial) is ~30x faster than Ray's
+    # shuffle aggregate at 10^6-row scale but must hold every partial
+    # row in one task — above TREE_STATS_LIMIT exploded rows, switch to
+    # the hash-shuffle groupby (the correct all-to-all cost).
+    dup = key_stats(
         exploded_signed,
         "band_hash",
         "id_int",
         distributed=exploded.count() > TREE_STATS_LIMIT,
-    )
-    dup = stats.map_batches(
-        lambda t: t.filter(pc.greater(t["cnt"], 1)),
-        batch_format="pyarrow",
+        min_cnt=2,
     ).materialize()
     n_dup_bands = dup.count()
     if n_dup_bands == 0:
@@ -335,7 +335,7 @@ def cluster_labels(
         2, min(num_partitions, int(members // 500_000) + 2)
     )
     # repartition the small side: Ray 2.49's hash-shuffle join rejects
-    # inputs whose empty partitions lost their schema (the cnt>1
+    # inputs whose empty partitions lost their schema (the min_cnt
     # filter above can leave such partitions in the materialized dup)
     dup_keys = dup.select_columns(["band_hash"]).repartition(
         ex_partitions

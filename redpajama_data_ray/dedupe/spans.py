@@ -15,7 +15,7 @@ fingerprinting:
   within one — shares at least one selected fingerprint, while only
   ~``2/(winnow_w+1)`` of positions are counted;
 - selected fingerprints are counted corpus-wide (per-batch
-  ``np.unique`` partials through the tree/shuffle-adaptive
+  ``np.unique`` partials through the root/shuffle-adaptive
   :func:`~.combine.combine_counts`), and positions whose fingerprint
   count reaches 2 mark a ``[i, i+k)`` span; overlapping spans merge.
 
@@ -165,7 +165,6 @@ def fingerprint_counts(
     text_col: str = "text",
     k: int = 50,
     winnow_w: int = 8,
-    fanin: int = 8,
     distributed: "bool | None" = None,
 ) -> Dataset:
     """Corpus-wide ``(fp, cnt)`` over selected k-gram fingerprints.
@@ -177,7 +176,6 @@ def fingerprint_counts(
     return combine_counts(
         fingerprint_partials(ds, text_col, k, winnow_w),
         key="fp",
-        fanin=fanin,
         distributed=distributed,
     )
 

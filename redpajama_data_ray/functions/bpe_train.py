@@ -16,7 +16,7 @@ use — their trainers consume word COUNTS, not the corpus):
 * the only corpus-sized pass is the pre-tokenized word histogram,
   built with the dedup stack's combiner pattern (one ``(word, cnt)``
   row per distinct word per block via ``np.unique``, summed by
-  :func:`..dedupe.combine.combine_counts` — tree combine small, hash
+  :func:`..dedupe.combine.combine_counts` — one root task small, hash
   shuffle past ``TREE_STATS_LIMIT``);
 * merge learning runs driver-side over the BOUNDED histogram. The
   ``words_top_k`` cut (count desc, word asc — deterministic) is the

@@ -5,8 +5,8 @@ is a corpus-wide token histogram. The Ray-native shape is the same
 combiner pattern the dedup stack uses: every batch emits ONE
 ``(token, cnt)`` row per distinct token (``np.unique`` over a single
 regex pass of the whole batch), then :func:`dedupe.combine.combine_counts`
-sums the partials — tree-combine while the vocabulary is small, hash
-shuffle past ``TREE_STATS_LIMIT`` distinct keys. Partial rows are
+sums the partials — one root task while the partials are small, hash
+shuffle past ``TREE_STATS_LIMIT`` partial rows. Partial rows are
 bounded by (batch vocabulary), not corpus tokens, so nothing
 token-scale ever shuffles.
 

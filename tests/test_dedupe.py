@@ -98,9 +98,10 @@ def test_simhash_dedup(annotated):
 
 
 def test_key_stats_auto_sizes_pure_reads_from_metadata(tmp_path, monkeypatch):
-    """distributed=None on a pure parquet read must pick the tree from
-    plan metadata alone — no streaming count pass, no second execution
-    of the partial stage (the round-4 exact/line dedup regression)."""
+    """distributed=None on a pure parquet read must pick the single-root
+    stats from plan metadata alone — no streaming count pass, no second
+    execution of the partial stage (the round-4 exact/line dedup
+    regression)."""
     import pyarrow.parquet as pq
     from ray.data import Dataset
 
