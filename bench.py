@@ -145,7 +145,7 @@ def _run_benchmarks(sf_dir: str, ncpu: int) -> dict:
     exact_dedup(ann).count()
     timings["exact_dedup"] = round(time.time() - t0, 3)
 
-    # fuzzy dedup (minhash explode -> band groupby -> union-find)
+    # fuzzy dedup (minhash explode -> one root task labels the clusters)
     t0 = time.time()
     sig = rd.read_parquet(out_dir, columns=["id_int", "signature_sim0.8"])
     deduped, _ = fuzzy_dedup(sig, "signature_sim0.8")

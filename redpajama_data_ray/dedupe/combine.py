@@ -47,16 +47,16 @@ heap of the tree's largest combine task against the root task's):
   extra ~10 MB is Arrow's group-by running over 256 chunks instead
   of one; it grows with the block count, not with repeated keys.
 
-Callers pass ``distributed=True`` to switch to ``ds.groupby`` when the
-distinct-key count is too large for a single reduce task (at 10^12 keys
-the root would not fit; the shuffle is then the correct cost).
+Callers pass ``distributed=True`` to switch to a keyed hash repartition
+with the same combine per partition when the distinct-key count is too
+large for a single reduce task (at 10^12 keys the root would not fit;
+the shuffle is then the correct cost).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 from ray.data import Dataset
-from ray.data.aggregate import Min, Sum
 
 
 from contextlib import contextmanager
@@ -178,22 +178,28 @@ def _combine_root(combine, *tables):
     return pa.table({})
 
 
-def _root_combine(partials: Dataset, combine) -> Dataset:
-    """Run ``partials`` once and combine every block in one root task;
-    the result stays in the object store (eager: runs when called).
-
-    The block refs come from the ref bundles, not ``to_arrow_refs()``:
-    that one also asks for the schema, which re-runs the partial stage
-    under a ``limit(1)``. Every partial block is already an Arrow
-    table, so there is nothing to convert."""
-    import ray.data as rd
-
-    refs = [
+def block_refs(ds: Dataset) -> list:
+    """Run ``ds`` once and return its block refs, for a root task that
+    takes every block as an argument. They come from the ref bundles,
+    not ``to_arrow_refs()``: that one also asks for the schema, which
+    re-runs a lazy plan under a ``limit(1)``. Every block of a
+    ``batch_format="pyarrow"`` map is already an Arrow table, so there
+    is nothing to convert."""
+    return [
         ref
-        for bundle in partials.iter_internal_ref_bundles()
+        for bundle in ds.iter_internal_ref_bundles()
         for ref in bundle.block_refs
     ]
-    return rd.from_arrow_refs([_combine_root.remote(combine, *refs)])
+
+
+def _root_combine(partials: Dataset, combine) -> Dataset:
+    """Run ``partials`` once and combine every block in one root task;
+    the result stays in the object store (eager: runs when called)."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(
+        [_combine_root.remote(combine, *block_refs(partials))]
+    )
 
 
 def _min_cnt_filter(g: pa.Table, cnt: str, min_cnt: "int | None"):
@@ -244,13 +250,14 @@ def key_stats(
     the key achieve ``min_order``. Keep-first delivery needs it when
     the order column is not unique within a key (ties make "the"
     winner row ill-defined for any value-based mask; exact.py routes
-    tied keys through a group-based resolution instead). The tracked
-    distributed path uses hash-repartition + per-block combine (whole
-    keys co-located — the pinned one-block-per-partition invariant)
-    because tie summation is conditional on the global min and can't
-    be expressed with builtin shuffle aggregates; ``min_cnt`` is
-    applied in that combine, so the eager materialize holds only the
-    filtered table, not an input-sized one."""
+    tied keys through a group-based resolution instead).
+
+    The distributed path (:func:`_hash_combine`) uses hash-repartition
+    + per-block combine (whole keys co-located — the pinned
+    one-block-per-partition invariant), with or without ties, so a
+    null key groups the same on every path; ``min_cnt`` is applied in
+    that combine, so the eager materialize holds only the filtered
+    table, not an input-sized one."""
 
     import pyarrow.compute as pc
 
@@ -316,34 +323,34 @@ def key_stats(
         distributed = not _fits_root(partials, ds)
     if not distributed:
         return _root_combine(partials, combine_filtered)
-    if not track_ties:
-        out = partials.groupby(key).aggregate(
-            Min("min_order", alias_name="min_order"),
-            Sum("cnt", alias_name="cnt"),
-        )
-        if min_cnt is None:
-            return out
-        return out.map_batches(
-            lambda t: _min_cnt_filter(t, "cnt", min_cnt),
-            batch_format="pyarrow",
-        )
-    # tie summation is conditional on the per-key global min, so
-    # co-locate whole keys (hash repartition, eager under a scoped
-    # HASH_SHUFFLE override) and run the vectorized combine per
-    # block — the dup_keys_from_partials fallback pattern
+    return _hash_combine(partials, key, combine_filtered, "cnt", "key_stats")
+
+
+def _hash_combine(
+    partials: Dataset, key: str, combine, cnt: str, what: str
+) -> Dataset:
+    """The shuffle path of :func:`key_stats` and :func:`combine_counts`:
+    co-locate whole keys (hash repartition, eager under a scoped
+    HASH_SHUFFLE override) and run the vectorized combine per block —
+    the dup_keys_from_partials fallback pattern. Ray's sort-based
+    ``groupby().aggregate`` is not used: its boundary sampling compares
+    a null key with string keys and raises ``TypeError``, and tie
+    summation is conditional on the per-key global min, which builtin
+    shuffle aggregates cannot express. The canary marker is the count
+    column ``cnt``, which real rows never hold null (keys may)."""
     nparts = auto_partitions()
     with scoped_hash_shuffle(partials.context):
         out = (
             partials.repartition(nparts, keys=[key])
             .map_batches(
-                _canary_wrap(combine_filtered, key),
+                _canary_wrap(combine, key),
                 batch_format="pyarrow",
                 batch_size=None,
                 zero_copy_batch=True,
             )
             .materialize()
         )
-    return _canary_strip(out, "cnt", nparts, "key_stats")
+    return _canary_strip(out, cnt, nparts, what)
 
 
 def combine_counts(
@@ -360,7 +367,7 @@ def combine_counts(
     distinct keys, not with how often they repeat across blocks (module
     docstring); the hash shuffle only pays off past
     ``TREE_STATS_LIMIT`` partial rows (``distributed=None`` measures
-    and picks). Like :func:`key_stats`, the root path runs when this is
+    and picks). Like :func:`key_stats`, both paths run when this is
     called, not lazily."""
 
     def combine(t: pa.Table) -> pa.Table:
@@ -373,7 +380,7 @@ def combine_counts(
         # read (rare — most callers pre-aggregate, giving a count pass)
         distributed = not _fits_root(partials, partials)
     if distributed:
-        return partials.groupby(key).aggregate(Sum(cnt, alias_name=cnt))
+        return _hash_combine(partials, key, combine, cnt, "combine_counts")
     return _root_combine(partials, combine)
 
 

@@ -1,12 +1,13 @@
 """Distributed connected components over LSH band hypergraphs.
 
-The default fuzzy-dedup path collects (rare) duplicated-band members to
-the driver and runs union-find (``lsh.py``), matching the reference's
-single-node design point (run_lsh.py:295-322 holds the whole graph on
-one machine). When the duplicate population itself is too large for one
-node — e.g. crawling snapshots with massive boilerplate overlap — this
-module provides the scale path: iterative **min-label propagation**
-entirely in Ray Data operators.
+The default fuzzy-dedup path labels the components in one numpy root
+task over every exploded band row (``lsh._label_root``), matching the
+reference's single-node design point (run_lsh.py:295-322 holds the
+whole graph on one machine). When the band table itself is too large
+for one task (above ``TREE_STATS_LIMIT`` rows) — e.g. crawling
+snapshots with massive boilerplate overlap — this module provides the
+scale path: iterative **min-label propagation** entirely in Ray Data
+operators.
 
 Model: the exploded table (band_hash, id_int) is a hypergraph — every
 band is a hyperedge connecting its member docs. Repeat until fixpoint:
@@ -20,11 +21,11 @@ global label sum is a monotone convergence witness: iterate until it
 stops changing (<= hypergraph diameter iterations, typically 2-4 for
 near-dup clusters). Each iteration is two hash joins + two grouped
 mins — all shuffles, no driver state beyond the convergence scalar.
+A run that reaches ``max_iters`` without a fixpoint raises: returning
+its labels would split every chain longer than the rounds it ran.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -58,7 +59,8 @@ def propagate_min_labels(
     through shared bands. Includes every id present in ``pairs``.
     ``pre_signed=True`` skips the input bijection when the caller
     already mapped both columns with ``_to_signed`` (the output is
-    always unsigned uint64)."""
+    always unsigned uint64). Raises ``RuntimeError`` when the labels
+    have not converged after ``max_iters`` rounds."""
 
     def to_signed_pairs(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -185,6 +187,13 @@ def propagate_min_labels(
         if cur == prev_sum:
             break
         prev_sum = cur
+    else:
+        raise RuntimeError(
+            f"propagate_min_labels: labels still changing after "
+            f"max_iters={max_iters} rounds; a chain longer than the "
+            "rounds run would split into several clusters. Raise "
+            "max_iters."
+        )
 
     def back_to_unsigned(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -195,44 +204,3 @@ def propagate_min_labels(
         )
 
     return labels.map_batches(back_to_unsigned, batch_format="pyarrow")
-
-
-def lsh_clusters_distributed(
-    ds: Dataset,
-    sig_column: str = "signature_sim0.8",
-    num_partitions: int = 32,
-) -> Dict[int, int]:
-    """Distributed variant of ``lsh.lsh_clusters`` (same output
-    contract, returned as a dict for interchangeability; callers at
-    true scale should consume :func:`propagate_min_labels`'s Dataset
-    directly instead of collecting)."""
-    import ray
-
-    from .apply import broadcast_sorted, membership_mask
-    from .lsh import _dup_band_hashes, explode_bands
-
-    exploded = ds.select_columns(["id_int", sig_column]).map_batches(
-        explode_bands(sig_column), batch_format="pyarrow"
-    ).materialize()
-    dup_bands = _dup_band_hashes(exploded)
-    if not dup_bands:
-        return {}
-    ref = broadcast_sorted(dup_bands)
-
-    def dup_members(t: pa.Table) -> pa.Table:
-        sv = ray.get(ref)
-        mask = membership_mask(t.column("band_hash"), sv)
-        return t.filter(pa.array(mask))
-
-    dup_pairs = exploded.map_batches(dup_members, batch_format="pyarrow")
-    labels = propagate_min_labels(dup_pairs, num_partitions)
-    out: Dict[int, int] = {}
-    for batch in labels.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for i, c in zip(
-            batch.column("id_int").to_pylist(),
-            batch.column("cluster_id").to_pylist(),
-        ):
-            out[i] = c
-    # singleton members of dup bands whose label stayed themselves are
-    # still "clustered" with themselves; keep parity with lsh_clusters
-    return out

@@ -8,14 +8,18 @@ Ray-native rewrite of the reference's LSH job
    over the Arrow buffers) so the shuffle key is a fixed-width integer,
    not a byte blob (collision odds ~1e-8 at 1e9 bands, far below the
    LSH false-positive rate itself);
-2. find *duplicated* band hashes with a vectorized partial-count
-   aggregate (per-batch pyarrow group_by, then a tiny Ray groupby-Sum —
-   the combiner pattern; no per-group Python);
-3. cluster the duplicated-band members: driver union-find below
-   ``driver_limit`` members (the reference's design point —
-   run_lsh.py:295-322 holds the whole edge graph on one node), else
-   distributed min-label propagation (``components.py`` — all shuffles,
-   no driver state);
+2. cluster the members of duplicated bands. At most
+   ``TREE_STATS_LIMIT`` exploded rows (the bound of the per-key stats
+   root in ``combine.py``), every block of the materialized explode
+   goes to ONE numpy root task (``_label_root``): sort by band, link
+   each member to its band's first member, then min-label hooking with
+   pointer jumping until no edge joins two labels. The reference holds
+   the whole edge graph on one node too (run_lsh.py:295-322). The
+   root's labels table and drop set stay in the object store. Above
+   the limit: a ``key_stats`` dup-band count, then distributed
+   min-label propagation (``components.py`` — all shuffles, no driver
+   state);
+3. only components of two or more distinct ids are labelled;
 4. cluster id = min(id_int) of the connected component
    (run_lsh.py:324-338);
 5. duplicates (non-representatives) are subtracted from the corpus with
@@ -27,7 +31,7 @@ Ray-native rewrite of the reference's LSH job
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 import pyarrow as pa
@@ -37,7 +41,6 @@ from ray.data import Dataset
 
 from .apply import (
     DEFAULT_MASK_BROADCAST_LIMIT,
-    broadcast_sorted,
     collect_column,
     filter_members,
     membership_mask,
@@ -182,89 +185,111 @@ def explode_bands(sig_column: str):
     return _explode
 
 
-def _dup_band_hashes(
-    exploded: Dataset, distributed: "bool | None" = None
-) -> Set[int]:
-    """Band hashes appearing more than once (``key_stats`` counts)."""
-    from .combine import key_stats
+def _label_components(
+    band: np.ndarray, ids: np.ndarray
+) -> "Tuple[np.ndarray, np.ndarray]":
+    """(member ids, cluster ids) of every connected component that the
+    shared bands link, members sorted, cluster id = the component's
+    min id (run_lsh.py:324-338).
 
-    agg = key_stats(
-        exploded, "band_hash", "id_int", distributed=distributed, min_cnt=2
+    Each row of a band is linked to the band's first row; a band held
+    by one row, or by one id repeating it, links nothing (no self
+    edges), so only components of two or more distinct ids come out.
+    Components are found by min-label hooking with full pointer
+    jumping, repeated until no edge joins two labels: labels are
+    parent pointers that only decrease, so every round that finds a
+    joining edge hooks at least one root under a smaller one."""
+    order = np.argsort(band, kind="stable")
+    band, ids = band[order], ids[order]
+    new_band = np.ones(len(band), bool)
+    new_band[1:] = band[1:] != band[:-1]
+    first = ids[new_band][np.cumsum(new_band) - 1]
+    linked = ids != first
+    nodes, ends = np.unique(
+        np.concatenate([ids[linked], first[linked]]), return_inverse=True
     )
-    dups: Set[int] = set()
-    for batch in agg.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        dups.update(batch.column("band_hash").to_pylist())
-    return dups
+    u, v = np.split(ends, 2)
+    label = np.arange(len(nodes))
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return nodes, nodes[label]
+        lo = np.minimum(lu, lv)
+        np.minimum.at(label, lu, lo)
+        np.minimum.at(label, lv, lo)
+        while True:  # point every node at its root
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+@ray.remote(num_returns=2)
+def _label_root(*tables):
+    """Root of the small fuzzy path: every block of the materialized
+    explode (zero-copy plasma views, passed as resolved args) in ONE
+    numpy labelling. Returns the ``(id_int, cluster_id)`` labels table
+    sorted by ``id_int`` and the sorted uint64 array of
+    non-representative ids (the drop set); both stay in the object
+    store. Zero-row blocks (possibly schema-less) are skipped."""
+    rows = [t for t in tables if t.num_rows]
 
-    def __init__(self):
-        self.parent: Dict[int, int] = {}
+    def column(name: str) -> np.ndarray:
+        if not rows:
+            return np.empty(0, np.uint64)
+        return np.concatenate([t.column(name).to_numpy() for t in rows])
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p.get(root, root) != root:
-            root = p[root]
-        while p.get(x, x) != x:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # attach larger id under smaller so min ids win representative
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-
-
-# above this many duplicated-band member rows, streaming them through
-# the driver union-find stops scaling — switch to distributed min-label
-# propagation (all-shuffle, no driver state)
-DEFAULT_DRIVER_LIMIT = 5_000_000
+    ids, cluster = _label_components(column("band_hash"), column("id_int"))
+    labels = pa.table(
+        {
+            "id_int": pa.array(ids, pa.uint64()),
+            "cluster_id": pa.array(cluster, pa.uint64()),
+        }
+    )
+    return labels, ids[ids != cluster]
 
 
-def cluster_labels(
+def _cluster(
     ds: Dataset,
-    sig_column: str = "signature_sim0.8",
-    id_column: str = "id_int",
-    distributed: "bool | None" = None,
-    driver_limit: int = DEFAULT_DRIVER_LIMIT,
-    num_partitions: "int | None" = None,
-) -> "Union[Dict[int, int], Dataset]":
-    """id_int -> cluster_id (min id_int of the connected component) for
-    every doc in a multi-doc cluster.
+    sig_column: str,
+    id_column: str,
+    distributed: "bool | None",
+    num_partitions: int,
+) -> "Union[Tuple[ray.ObjectRef, ray.ObjectRef], Dataset]":
+    """The clustering both public entry points share: the two output
+    refs of :func:`_label_root`, or the distributed labels Dataset.
 
-    Path is chosen by the MEASURED duplicated-band member count:
-    driver union-find (dict result) below ``driver_limit``, else
-    distributed min-label propagation (``(id_int, cluster_id)`` Dataset
-    result — no driver state). ``distributed`` forces a path."""
+    ``distributed=None`` picks the root when the exploded band rows
+    (read from the materialized explode's metadata, no extra pass)
+    number at most ``TREE_STATS_LIMIT``; ``False`` / ``True`` force a
+    path."""
     from .combine import (
         TREE_STATS_LIMIT,
-        auto_partitions,
+        block_refs,
         key_stats,
         tune_shuffle_context,
     )
-    from .components import _to_signed, _to_unsigned
+    from .components import _to_signed
 
-    if num_partitions is None:
-        num_partitions = auto_partitions()
     narrow = ds.select_columns([id_column, sig_column])
     if id_column != "id_int":
         # explode_bands contract: id column is named id_int
         narrow = narrow.rename_columns({id_column: "id_int"})
+    # pinned: the root takes its blocks, the distributed path reads it
+    # twice (count-agg, member join). The exploded table is 16 fixed
+    # bytes per (doc, band) — ~1% of corpus size at 100 TB, and it
+    # spills if needed.
     exploded = narrow.map_batches(
         explode_bands(sig_column), batch_format="pyarrow"
-    )
-    # two consumers (count-agg, member-filter); the exploded table is 16
-    # fixed bytes per (doc, band) — pin it instead of recomputing the
-    # explode. At 100 TB this is ~1% of corpus size and spills if needed.
-    exploded = exploded.materialize()
+    ).materialize()
+    n_band_rows = exploded.count()
+    if distributed is None:
+        distributed = n_band_rows > TREE_STATS_LIMIT
+    if not distributed:
+        return _label_root.remote(*block_refs(exploded))
+
+    # ---- distributed path: no driver state ----
+    from .components import propagate_min_labels
 
     tune_shuffle_context()
 
@@ -283,45 +308,18 @@ def cluster_labels(
     exploded_signed = exploded.map_batches(
         sign_pairs, batch_format="pyarrow"
     )
-
-    # counts of the duplicated bands only (object store). Stats path is
-    # size-adaptive: the single root task (one vectorized pyarrow
-    # group_by over every per-block partial) is ~30x faster than Ray's
-    # shuffle aggregate at 10^6-row scale but must hold every partial
-    # row in one task — above TREE_STATS_LIMIT exploded rows, switch to
-    # the hash-shuffle groupby (the correct all-to-all cost).
+    # counts of the duplicated bands only (object store); the stats
+    # path picks the root or the shuffle by the same TREE_STATS_LIMIT
     dup = key_stats(
         exploded_signed,
         "band_hash",
         "id_int",
-        distributed=exploded.count() > TREE_STATS_LIMIT,
+        distributed=n_band_rows > TREE_STATS_LIMIT,
         min_cnt=2,
     ).materialize()
-    n_dup_bands = dup.count()
-    if n_dup_bands == 0:
-        return {}
+    if dup.count() == 0:
+        return _label_root.remote()
     members = int(dup.sum("cnt"))
-
-    use_driver = distributed is False or (
-        distributed is None and members <= driver_limit
-    )
-    if use_driver:
-        dup_bands = np.sort(
-            _to_unsigned(
-                pa.chunked_array(
-                    [
-                        b.column("band_hash")
-                        for b in dup.iter_batches(
-                            batch_size=65536, batch_format="pyarrow"
-                        )
-                    ]
-                ).combine_chunks()
-            ).to_numpy(zero_copy_only=False)
-        )
-        return _clusters_from_members(exploded, dup_bands)
-
-    # ---- distributed path: no driver state ----
-    from .components import propagate_min_labels
 
     # partition counts track DATA size, not cluster size: every
     # hash-shuffle operator spins up ~num_partitions aggregator actors
@@ -329,7 +327,7 @@ def cluster_labels(
     # 30 partitions for a 50k-row dup graph costs 2-5x the wall time of
     # 8 (measured at sf0.1: 20.7 s @ 8 vs 49-123 s @ 30).
     ex_partitions = max(
-        2, min(num_partitions, int(exploded.count() // 2_000_000) + 2)
+        2, min(num_partitions, int(n_band_rows // 2_000_000) + 2)
     )
     prop_partitions = max(
         2, min(num_partitions, int(members // 500_000) + 2)
@@ -351,11 +349,46 @@ def cluster_labels(
     ).materialize()
 
 
+def _clusters_dict(labels_ref: "ray.ObjectRef") -> Dict[int, int]:
+    t = ray.get(labels_ref)
+    return dict(
+        zip(
+            t.column("id_int").to_numpy().tolist(),
+            t.column("cluster_id").to_numpy().tolist(),
+        )
+    )
+
+
+def cluster_labels(
+    ds: Dataset,
+    sig_column: str = "signature_sim0.8",
+    id_column: str = "id_int",
+    distributed: "bool | None" = None,
+    num_partitions: "int | None" = None,
+) -> "Union[Dict[int, int], Dataset]":
+    """id_int -> cluster_id (min id_int of the connected component) for
+    every doc in a multi-doc cluster.
+
+    Path is chosen by the MEASURED exploded band row count: one numpy
+    root task (dict result, built from the root's members-only labels
+    table) at most ``TREE_STATS_LIMIT`` rows, else distributed
+    min-label propagation (``(id_int, cluster_id)`` Dataset result —
+    no driver state). ``distributed`` forces a path."""
+    from .combine import auto_partitions
+
+    if num_partitions is None:
+        num_partitions = auto_partitions()
+    found = _cluster(ds, sig_column, id_column, distributed, num_partitions)
+    if isinstance(found, Dataset):
+        return found
+    return _clusters_dict(found[0])
+
+
 def lsh_clusters(
     ds: Dataset,
     sig_column: str = "signature_sim0.8",
 ) -> Dict[int, int]:
-    """Driver-path cluster map (legacy entry point; see
+    """Root-path cluster map (legacy entry point; see
     :func:`cluster_labels` for the size-adaptive variant)."""
     return cluster_labels(ds, sig_column, distributed=False)
 
@@ -364,7 +397,7 @@ def clusters_table(clusters: "Dict[int, int] | Dataset") -> pa.Table:
     """(id_int, cluster_id) Arrow table — the reference's cluster output
     artifact (run_lsh.py:340-372 writes (id, id_int, cluster_id,
     shard_id) parquet per shard; join back on id_int for the rest).
-    Accepts either the driver-path dict or the distributed-path labels
+    Accepts either the root-path dict or the distributed-path labels
     Dataset (collected — for large label sets write the Dataset with
     ``write_parquet`` instead)."""
     if isinstance(clusters, Dataset):
@@ -457,31 +490,30 @@ def fuzzy_dedup(
     sig_column: str = "signature_sim0.8",
     id_column: str = "id_int",
     distributed: "bool | None" = None,
-    driver_limit: int = DEFAULT_DRIVER_LIMIT,
     num_partitions: "int | None" = None,
     mask_limit: int = DEFAULT_MASK_BROADCAST_LIMIT,
 ) -> "Tuple[Dataset, Union[Dict[int, int], Dataset]]":
     """Drop every row whose cluster representative is another row.
 
     Returns ``(deduped dataset, clusters)`` — ``clusters`` is the
-    driver-path dict or the distributed-path labels Dataset (see
-    :func:`cluster_labels` for the size-adaptive path choice). Both
-    paths produce identical surviving rows (tested on dup-heavy
-    fixtures)."""
+    root-path dict or the distributed-path labels Dataset (see
+    :func:`cluster_labels` for the size-adaptive path choice). On the
+    root path the drop set goes from the root task to the filter as an
+    object ref, without passing through the driver. Both paths produce
+    identical surviving rows (tested on dup-heavy fixtures)."""
     from .combine import auto_partitions
 
     if num_partitions is None:
         num_partitions = auto_partitions()
-    clusters = cluster_labels(
-        ds, sig_column, id_column, distributed, driver_limit, num_partitions
-    )
-    if isinstance(clusters, dict):
-        dupes = {i for i, c in clusters.items() if i != c}
-        if not dupes:
+    found = _cluster(ds, sig_column, id_column, distributed, num_partitions)
+    if not isinstance(found, Dataset):
+        labels_ref, drop_ref = found
+        clusters = _clusters_dict(labels_ref)
+        if not clusters:
             return ds, clusters
-        return filter_members(ds, id_column, dupes, False), clusters
+        return filter_members(ds, id_column, drop_ref, False), clusters
 
-    labels = clusters
+    labels = found
 
     def non_reps(t: pa.Table) -> pa.Table:
         mask = pc.not_equal(t["id_int"], t["cluster_id"])
@@ -496,41 +528,6 @@ def fuzzy_dedup(
     )
 
 
-def _clusters_from_members(
-    exploded: Dataset, dup_bands: "np.ndarray | Set[int]"
-) -> Dict[int, int]:
-    """Driver union-find over members of duplicated bands (the
-    reference's single-node edge-graph design point). The band filter
-    is a vectorized broadcast membership mask; only the (rare)
-    duplicated-band members stream to the driver."""
-    uf = _UnionFind()
-    ref = broadcast_sorted(dup_bands)
-
-    def members(t: pa.Table) -> pa.Table:
-        sv = ray.get(ref)
-        return t.filter(pa.array(membership_mask(t.column("band_hash"), sv)))
-
-    groups: Dict[int, int] = {}
-    for batch in exploded.map_batches(
-        members, batch_format="pyarrow"
-    ).iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for h, i in zip(
-            batch.column("band_hash").to_pylist(),
-            batch.column("id_int").to_pylist(),
-        ):
-            first = groups.get(h)
-            if first is None:
-                groups[h] = i
-            else:
-                uf.union(first, i)
-    clusters: Dict[int, int] = {}
-    for node in list(uf.parent):
-        clusters[node] = uf.find(node)
-    for node, root in list(clusters.items()):
-        clusters.setdefault(root, root)
-    return clusters
-
-
 def write_cluster_outputs(
     ds: Dataset,
     out_dir: str,
@@ -538,7 +535,6 @@ def write_cluster_outputs(
     id_column: str = "doc_id",
     shard_column: "str | None" = None,
     distributed: "bool | None" = None,
-    driver_limit: int = DEFAULT_DRIVER_LIMIT,
     num_partitions: "int | None" = None,
 ) -> Dict[str, str]:
     """Per-threshold cluster parquet sinks.
@@ -552,12 +548,12 @@ def write_cluster_outputs(
     belongs to a multi-doc cluster. ``shard_id`` comes from
     ``shard_column`` when given, else 0 (single-shard inputs).
 
-    Size-adaptive like :func:`fuzzy_dedup` (same ``driver_limit``):
-    below it, the cluster map is broadcast as two aligned sorted arrays
-    and membership rows are emitted with a vectorized searchsorted
-    probe; above it, the labels Dataset from min-label propagation is
-    joined against a narrow corpus projection — the cluster map never
-    touches the driver."""
+    Size-adaptive like :func:`fuzzy_dedup`: on the root path the root's
+    labels table (sorted by ``id_int``) is handed to the workers by
+    ref and membership rows are emitted with a vectorized searchsorted
+    probe; on the distributed path the labels Dataset from min-label
+    propagation is joined against a narrow corpus projection. Either
+    way the cluster map never touches the driver."""
     import os
 
     from .combine import auto_partitions
@@ -572,28 +568,18 @@ def write_cluster_outputs(
         if sig_col not in ds.schema().names:
             continue
         tdir = os.path.join(out_dir, f"sim{t}")
-        clusters = cluster_labels(
-            ds,
-            sig_col,
-            distributed=distributed,
-            driver_limit=driver_limit,
-            num_partitions=num_partitions,
+        found = _cluster(
+            ds, sig_col, "id_int", distributed, num_partitions
         )
-        if isinstance(clusters, dict):
-            if not clusters:
-                os.makedirs(tdir, exist_ok=True)
-                out[str(t)] = tdir
-                continue
-            ids_np = np.fromiter(clusters, np.uint64, len(clusters))
-            order = np.argsort(ids_np)
-            ids_np = ids_np[order]
-            cl_np = np.fromiter(
-                clusters.values(), np.uint64, len(clusters)
-            )[order]
-            ref = ray.put((ids_np, cl_np))
+        if not isinstance(found, Dataset):
+            # the root's labels table, sorted by id_int, goes to the
+            # workers as its ref; an empty one writes no rows
+            os.makedirs(tdir, exist_ok=True)
 
-            def member_rows(batch: pa.Table, _ref=ref) -> pa.Table:
-                sorted_ids, cl = ray.get(_ref)
+            def member_rows(batch: pa.Table, _ref=found[0]) -> pa.Table:
+                labels = ray.get(_ref)
+                sorted_ids = labels.column("id_int").to_numpy()
+                cl = labels.column("cluster_id").to_numpy()
                 hit = membership_mask(batch.column("id_int"), sorted_ids)
                 kept = batch.filter(pa.array(hit))
                 probe = kept.column("id_int").to_numpy(
@@ -654,7 +640,7 @@ def write_cluster_outputs(
             )
 
         joined = ds.map_batches(narrow_proj, batch_format="pyarrow").join(
-            clusters.map_batches(sign_labels, batch_format="pyarrow")
+            found.map_batches(sign_labels, batch_format="pyarrow")
             .repartition(num_partitions),
             join_type="inner",
             num_partitions=num_partitions,

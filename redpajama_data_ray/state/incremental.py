@@ -362,7 +362,7 @@ def incremental_fuzzy_dedup(
     over all snapshots at once, run_lsh.py; this carries band state
     forward instead so each new snapshot streams).
 
-    1. within-run ``fuzzy_dedup`` (size-adaptive driver/distributed);
+    1. within-run ``fuzzy_dedup`` (size-adaptive root task/distributed);
     2. drop surviving docs sharing ANY LSH band with a previously
        committed run (an LSH hit at the configured threshold =
        near-duplicate candidate; same FP/FN trade-off as the batch

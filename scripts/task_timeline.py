@@ -13,7 +13,8 @@ needs ``content_sha256``, ``doc_id``, ``id_int`` and
 ``signature_sim0.8``, e.g. a ``perfbench`` ``dedup_planted`` input),
 runs ``exact_dedup`` then ``fuzzy_dedup`` per round, and prints EVERY
 Ray task of the last round: map tasks, repartition split / reduce
-tasks, and plain remote tasks such as the per-key stats root.
+tasks, and plain remote tasks such as the per-key stats root and the
+fuzzy labelling root.
 
 Works offline and needs nothing beyond Ray.
 

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
-from redpajama_data_ray.dedupe.components import (
-    lsh_clusters_distributed,
-    propagate_min_labels,
+from redpajama_data_ray.dedupe.components import propagate_min_labels
+from redpajama_data_ray.dedupe.lsh import (
+    cluster_labels,
+    clusters_table,
+    lsh_clusters,
 )
-from redpajama_data_ray.dedupe.lsh import lsh_clusters
 from redpajama_data_ray.stages import MinHashStage, assign_ids
 
 
@@ -29,6 +31,25 @@ def test_propagate_min_labels_chain():
         .to_dict()
     )
     assert out == {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
+
+
+def test_propagate_min_labels_raises_at_round_cap():
+    """A chain longer than the rounds allowed must not come back split:
+    ids 1-6 need five hops, and two rounds raise instead."""
+    pairs = pa.table(
+        {
+            "band_hash": pa.array(
+                [b for b in range(5) for _ in range(2)], pa.uint64()
+            ),
+            "id_int": pa.array(
+                [i for b in range(5) for i in (b + 1, b + 2)], pa.uint64()
+            ),
+        }
+    )
+    with pytest.raises(RuntimeError, match="max_iters=2"):
+        propagate_min_labels(
+            ray.data.from_arrow(pairs), num_partitions=2, max_iters=2
+        )
 
 
 def test_distributed_matches_union_find():
@@ -62,7 +83,15 @@ def test_distributed_matches_union_find():
         .materialize()
     )
     uf = lsh_clusters(ds, "signature_sim0.8")
-    dist = lsh_clusters_distributed(ds, "signature_sim0.8", num_partitions=4)
+    table = clusters_table(
+        cluster_labels(ds, distributed=True, num_partitions=4)
+    )
+    dist = dict(
+        zip(
+            table.column("id_int").to_pylist(),
+            table.column("cluster_id").to_pylist(),
+        )
+    )
     assert uf == dist
     # sanity: every exact-dup group collapsed to one cluster
     n_clusters = len(set(uf.values()))

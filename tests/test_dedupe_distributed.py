@@ -148,15 +148,19 @@ class TestFuzzyDistributed:
         )
         assert dist_map == d_clusters
 
-    def test_auto_switch_threshold(self):
+    def test_auto_switch_threshold(self, monkeypatch):
+        from redpajama_data_ray.dedupe import combine
+
         t = _sig_table(n_clusters=6, cluster_size=3, n_singletons=4)
-        ds_lo, cl_lo = fuzzy_dedup(
-            ray.data.from_arrow(t), distributed=None, driver_limit=1
-        )  # members > 1 -> distributed: labels Dataset
-        assert isinstance(cl_lo, ray.data.Dataset)
+        with monkeypatch.context() as m:
+            m.setattr(combine, "TREE_STATS_LIMIT", 1)
+            ds_lo, cl_lo = fuzzy_dedup(
+                ray.data.from_arrow(t), distributed=None
+            )  # band rows > 1 -> distributed: labels Dataset
+            assert isinstance(cl_lo, ray.data.Dataset)
         ds_hi, cl_hi = fuzzy_dedup(
-            ray.data.from_arrow(t), distributed=None, driver_limit=10**9
-        )  # driver path: dict
+            ray.data.from_arrow(t), distributed=None
+        )  # root path: dict
         assert isinstance(cl_hi, dict)
         a = sorted(
             x

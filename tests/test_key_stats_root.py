@@ -192,16 +192,27 @@ def test_key_stats_string_null_keys_on_every_path():
         assert _rows(got, cols) == want, distributed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Ray's sort-based groupby cannot order a null among string "
-    "keys (TypeError in its boundary sampling)",
-)
 def test_untracked_shuffle_stats_on_string_null_keys():
     rows = [(1, 2, 0, False), (None, 1, 1, False), (2, 5, 1, False)]
     ds = _upstream(rows, [False, False], str_keys=True)
     got = key_stats(ds, "k", "o", distributed=True)
     assert _rows(got, ["k", "cnt"]) == [(None, 1), ("k1", 1), ("k2", 1)]
+
+
+def test_shuffle_counts_on_string_null_keys():
+    """``combine_counts``' shuffle keeps a null string key as one group,
+    like its root."""
+    rows = [(1, 2, 0, False), (None, 1, 1, False), (None, 5, 1, False)]
+    partials = _upstream(rows, [False, False], str_keys=True).map_batches(
+        lambda t: t.group_by("k")
+        .aggregate([("o", "count")])
+        .rename_columns(["k", "cnt"]),
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    for distributed in (False, True):
+        got = combine_counts(partials, "k", distributed=distributed)
+        assert _rows(got, ["k", "cnt"]) == [(None, 2), ("k1", 1)], distributed
 
 
 def test_root_stats_execution_has_no_repartition(monkeypatch):
