@@ -2,7 +2,10 @@
 
 Every dedup variant ends the same way: a (possibly huge) set of keys or
 ids must be subtracted from — or intersected with — the full dataset.
-This module centralizes the two scale regimes:
+:func:`filter_members` is the one delivery: given the member set as a
+materialized Dataset it counts it and picks one of the two scale
+regimes itself, by ``DEFAULT_MASK_BROADCAST_LIMIT`` (given an array or
+a ``broadcast_sorted`` ref it always masks):
 
 - **broadcast mask** (set fits one object-store object): the values are
   sorted ONCE driver-side, ``ray.put`` once, and each batch is masked
@@ -15,10 +18,11 @@ This module centralizes the two scale regimes:
   2.49's per-partition join kernel (Acero) rejects nested *payload*
   columns ("list<binary> is not supported in join non-key field"), so
   :func:`nested_types` + :func:`pack_nested` / :func:`unpack_nested`
-  round-trip nested columns through pickled binary around the join.
-  Callers should prefer joining a NARROW projection and delivering the
-  result via the broadcast mask; packing is the fallback when the
-  surviving/dropped id set itself is too large to broadcast.
+  round-trip nested columns through pickled binary around the join,
+  and uint64 keys join on their signed bijection. Callers should
+  prefer joining a NARROW projection and delivering the result through
+  :func:`filter_members`; the full-width join runs only when the
+  surviving/dropped set itself is too large to broadcast.
 
 String/binary keys are probed as fixed-width ``S``-dtype arrays
 (memcmp-based searchsorted); values longer than the widest member are
@@ -37,8 +41,8 @@ import ray
 from ray.data import Dataset
 
 # one sorted uint64 array above this many entries stops being a
-# reasonable broadcast object (~8 B/entry -> ~400 MB) — callers switch
-# to the join fallback
+# reasonable broadcast object (~8 B/entry -> ~400 MB): filter_members
+# joins a larger member Dataset instead (read at call time)
 DEFAULT_MASK_BROADCAST_LIMIT = 50_000_000
 
 # fixed-width S-dtype member arrays are n x max_len bytes; above this
@@ -156,6 +160,10 @@ def as_key_array(
             if isinstance(values, pa.ChunkedArray)
             else values
         )
+        if arr0.null_count:
+            # null members never match: digesting them as b"" would
+            # falsely admit empty-string probes
+            arr0 = arr0.drop_null()
         if pa.types.is_string(arr0.type) or pa.types.is_binary(
             arr0.type
         ) or pa.types.is_large_string(arr0.type) or pa.types.is_large_binary(
@@ -167,17 +175,15 @@ def as_key_array(
                     len(arr0) * (max_len + 1) > FIXED_WIDTH_MASK_LIMIT
                 ):
                     # digests only pay when they SHRINK the slots
-                    # (max_len > 16); null members never match, so
-                    # drop them — digesting them as b"" would
-                    # falsely admit empty-string probes
-                    return DigestKeys(_digest_arrow(arr0.drop_null()))
+                    # (max_len > 16)
+                    return DigestKeys(_digest_arrow(arr0))
             values = arr0.to_pylist()
         elif pa.types.is_integer(arr0.type):
             # zero-copy-ish numeric path: to_pylist would build tens
             # of millions of Python ints just to rebuild this array
-            return arr0.drop_null().to_numpy(
-                zero_copy_only=False
-            ).astype(np.uint64, copy=False)
+            return arr0.to_numpy(zero_copy_only=False).astype(
+                np.uint64, copy=False
+            )
         else:
             values = arr0.to_pylist()
     if isinstance(values, np.ndarray):
@@ -305,15 +311,26 @@ def membership_mask(
 
 
 def filter_members(
-    ds: Dataset, column: str, values, keep_members: bool
+    ds: Dataset, column: str, members, keep_members: bool
 ) -> Dataset:
-    """Keep (or drop) the rows whose ``column`` value is in ``values``
-    — the broadcast semi/anti-join. ``values`` may be a set/list/numpy
-    array (sorted+put here) or an existing ``broadcast_sorted`` ref."""
+    """Keep (or drop) the rows whose ``column`` value is in ``members``.
+
+    ``members`` may be a set/list/numpy array (sorted and put here), an
+    existing ``broadcast_sorted`` ref, or a materialized Dataset whose
+    one column is also named ``column``. A Dataset is counted here: at
+    most ``DEFAULT_MASK_BROADCAST_LIMIT`` members are collected and
+    broadcast like an array, more are joined (:func:`_join_members`)."""
+    if isinstance(members, Dataset):
+        n = members.count()
+        if n == 0:
+            return ds.limit(0) if keep_members else ds
+        if n > DEFAULT_MASK_BROADCAST_LIMIT:
+            return _join_members(ds, column, members, keep_members)
+        members = collect_column(members, column)
     ref = (
-        values
-        if isinstance(values, ray.ObjectRef)
-        else broadcast_sorted(values)
+        members
+        if isinstance(members, ray.ObjectRef)
+        else broadcast_sorted(members)
     )
 
     def _filter(t: pa.Table) -> pa.Table:
@@ -324,6 +341,52 @@ def filter_members(
         return t.filter(pa.array(mask))
 
     return ds.map_batches(_filter, batch_format="pyarrow")
+
+
+def _join_members(
+    ds: Dataset, column: str, members: Dataset, keep_members: bool
+) -> Dataset:
+    """The member set too large to broadcast: a ``left_anti`` join
+    (``left_semi`` when keeping members) in the object store. Null keys
+    never match. uint64 keys join on the order-preserving signed
+    bijection, because Ray's hash shuffle pickles values above
+    int64-max into object columns that cannot join; nested payload
+    columns are packed around Acero."""
+    from .combine import auto_partitions, tune_shuffle_context
+    from .components import _to_signed, _to_unsigned
+
+    tune_shuffle_context()
+    nparts = auto_partitions()
+    schema = ds.schema().base_schema
+    signed = pa.types.is_uint64(schema.field(column).type)
+    nested = nested_types(schema, exclude=(column,))
+    pack, unpack = pack_nested(nested), unpack_nested(nested)
+
+    def sign(t: pa.Table) -> pa.Table:
+        col = t.column(column)
+        if not pa.types.is_uint64(col.type):
+            return t
+        i = t.schema.get_field_index(column)
+        return t.set_column(i, column, _to_signed(col))
+
+    def restore(t: pa.Table) -> pa.Table:
+        if signed:
+            i = t.schema.get_field_index(column)
+            t = t.set_column(i, column, _to_unsigned(t.column(column)))
+        return unpack(t)
+
+    # repartition: Ray 2.49's hash-shuffle join rejects inputs whose
+    # empty partitions lost their schema
+    right = members.repartition(nparts).map_batches(
+        sign, batch_format="pyarrow"
+    )
+    left = ds.map_batches(lambda t: pack(sign(t)), batch_format="pyarrow")
+    return left.join(
+        right,
+        join_type="left_semi" if keep_members else "left_anti",
+        num_partitions=nparts,
+        on=(column,),
+    ).map_batches(restore, batch_format="pyarrow")
 
 
 def collect_column(ds: Dataset, column: str) -> np.ndarray:

@@ -327,17 +327,18 @@ def key_stats(
 
 
 def _hash_combine(
-    partials: Dataset, key: str, combine, cnt: str, what: str
+    partials: Dataset, key: str, combine, marker: str, what: str
 ) -> Dataset:
-    """The shuffle path of :func:`key_stats` and :func:`combine_counts`:
-    co-locate whole keys (hash repartition, eager under a scoped
-    HASH_SHUFFLE override) and run the vectorized combine per block —
-    the dup_keys_from_partials fallback pattern. Ray's sort-based
+    """The shuffle path of :func:`key_stats`, :func:`combine_counts` and
+    the :func:`dup_keys_from_partials` fallback: co-locate whole keys
+    (hash repartition, eager under a scoped HASH_SHUFFLE override) and
+    run the vectorized combine per block. Ray's sort-based
     ``groupby().aggregate`` is not used: its boundary sampling compares
     a null key with string keys and raises ``TypeError``, and tie
     summation is conditional on the per-key global min, which builtin
-    shuffle aggregates cannot express. The canary marker is the count
-    column ``cnt``, which real rows never hold null (keys may)."""
+    shuffle aggregates cannot express. ``marker`` is the canary column
+    (:func:`_canary_strip`): one that real output rows never hold null
+    in."""
     nparts = auto_partitions()
     with scoped_hash_shuffle(partials.context):
         out = (
@@ -350,7 +351,7 @@ def _hash_combine(
             )
             .materialize()
         )
-    return _canary_strip(out, cnt, nparts, what)
+    return _canary_strip(out, marker, nparts, what)
 
 
 def combine_counts(
@@ -433,7 +434,6 @@ def dup_keys_from_partials(
     min_count: int = 2,
     cnt: str = "cnt",
     root_limit: int = DUP_ROOT_LIMIT,
-    num_partitions: "int | None" = None,
     spill_dir: "str | None" = None,
 ) -> Dataset:
     """Keys whose per-block partial counts sum to >= ``min_count`` —
@@ -560,34 +560,20 @@ def dup_keys_from_partials(
             return rd.from_arrow_refs([out_ref])
 
         # ---- horizontal fallback: hash-partition by key, combine per
-        # block
-        if num_partitions is None:
-            num_partitions = auto_partitions()
+        # block; the output holds only keys, so the key is the canary
+        # marker
 
         def combine_dup(t: pa.Table) -> pa.Table:
-            g = t.group_by(key).aggregate([(cnt, "sum")])
-            g = g.rename_columns([key, cnt])
             import pyarrow.compute as pc
 
+            g = t.group_by(key).aggregate([(cnt, "sum")])
+            g = g.rename_columns([key, cnt])
             return g.filter(
                 pc.greater_equal(g.column(cnt), min_count)
             ).select([key])
 
-        # key-based repartition requires the hash-shuffle strategy;
-        # scoped to THIS dataset's captured context, eager inside
-        with scoped_hash_shuffle(stored.context):
-            out = (
-                stored.repartition(num_partitions, keys=[key])
-                .map_batches(
-                    _canary_wrap(combine_dup, key),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    zero_copy_batch=True,
-                )
-                .materialize()
-            )
-        return _canary_strip(
-            out, key, num_partitions, "dup_keys_from_partials"
+        return _hash_combine(
+            stored, key, combine_dup, key, "dup_keys_from_partials"
         )
     finally:
         _cleanup()

@@ -168,7 +168,6 @@ def _join_filter(
     order_col: str,
     keep_winners: bool,
     num_partitions: int,
-    mask_limit: "int | None" = None,
 ) -> Dataset:
     """Dataset-side filter against the dup table — zero driver state on
     the join itself. Delivery is payload-aware:
@@ -178,9 +177,9 @@ def _join_filter(
     - wide/variable payloads (text, binary, nested): only a NARROW
       ``(key, order_col)`` projection is joined; losing rows are then
       subtracted from (or intersected with) the full corpus by
-      ``order_col`` membership — a broadcast searchsorted mask when
-      the loser set fits one object, else a ``left_anti``/``left_semi``
-      join with nested payload columns packed around it. Measured
+      :func:`~.apply.filter_members` on a pair-digest column appended
+      to the corpus and dropped after (it picks the broadcast mask or
+      the ``left_anti``/``left_semi`` join by the loser count). Measured
       76.8 s -> 18.1 s on a 650k-row 46%-dup corpus with list
       signature columns vs the old full-width packed join (pickle per
       row).
@@ -188,19 +187,12 @@ def _join_filter(
     Losing rows are identified by their (key, order) PAIR — a 16-byte
     blake2b digest of the length-prefixed pair, exact up to 2^-128
     collisions (the risk already accepted engine-wide for id_int) —
-    so order values colliding ACROSS keys never conflate rows. Within
-    a key, rows tying at the min are the caller's tie-resolution
-    branch; identical loser pairs are all losers by definition."""
-
-    from .apply import (
-        DEFAULT_MASK_BROADCAST_LIMIT,
-        nested_types,
-        pack_nested,
-        unpack_nested,
-    )
-
-    if mask_limit is None:
-        mask_limit = DEFAULT_MASK_BROADCAST_LIMIT
+    so order values colliding ACROSS keys never conflate rows. The
+    corpus digest is null where the key or order is null, so those
+    rows never match. Within a key, rows tying at the min are the
+    caller's tie-resolution branch; identical loser pairs are all
+    losers by definition."""
+    from .apply import filter_members
 
     def proj(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -255,58 +247,21 @@ def _join_filter(
     losers = joined.map_batches(
         losers_only, batch_format="pyarrow"
     ).materialize()
-    n_losers = losers.count()
-    if n_losers == 0:
-        return ds if keep_winners else ds.limit(0)
-    if n_losers <= mask_limit:
-        chunks = [
-            np.asarray(b.column(_PAIR_DIG_COL).to_pylist(), dtype="S16")
-            for b in losers.iter_batches(
-                batch_size=65536, batch_format="pyarrow"
-            )
-        ]
-        sv = np.sort(np.concatenate(chunks))
-        ref = ray.put(sv)
-
-        def pair_filter(t: pa.Table) -> pa.Table:
-            member = ray.get(ref)
-            dig, valid = _pair_digests(
-                t.column(key), t.column(order_col)
-            )
-            idx = np.searchsorted(member, dig)
-            idx_c = np.minimum(idx, len(member) - 1)
-            hit = (member[idx_c] == dig) & (idx < len(member)) & valid
-            # keep_winners: drop the losers; else: keep only them
-            return t.filter(pa.array(~hit if keep_winners else hit))
-
-        return ds.map_batches(pair_filter, batch_format="pyarrow")
-
-    # loser set too large to broadcast: anti/semi join the full corpus
-    # on the pair digest, packing nested payload columns (Acero
-    # limitation)
-    losers = losers.repartition(num_partitions)
 
     def add_dig(t: pa.Table) -> pa.Table:
-        dig, _ = _pair_digests(t.column(key), t.column(order_col))
+        dig, valid = _pair_digests(t.column(key), t.column(order_col))
         return t.append_column(
-            _PAIR_DIG_COL, pa.array(dig.tolist(), pa.binary())
+            _PAIR_DIG_COL,
+            pa.array(dig.tolist(), pa.binary(), mask=~valid),
         )
 
-    ds = ds.map_batches(add_dig, batch_format="pyarrow")
-    nested = nested_types(
-        ds.schema().base_schema, exclude=(_PAIR_DIG_COL,)
-    )
-    if nested:
-        ds = ds.map_batches(pack_nested(nested), batch_format="pyarrow")
-    out = ds.join(
+    # keep_winners: drop the losers; else: keep only them
+    return filter_members(
+        ds.map_batches(add_dig, batch_format="pyarrow"),
+        _PAIR_DIG_COL,
         losers,
-        join_type="left_anti" if keep_winners else "left_semi",
-        num_partitions=num_partitions,
-        on=(_PAIR_DIG_COL,),
-    )
-    if nested:
-        out = out.map_batches(unpack_nested(nested), batch_format="pyarrow")
-    return out.drop_columns([_PAIR_DIG_COL])
+        keep_members=not keep_winners,
+    ).drop_columns([_PAIR_DIG_COL])
 
 
 def _direct_join_filter(
@@ -470,7 +425,6 @@ def _dedup_impl(
     broadcast_limit: int,
     num_partitions: Optional[int],
     keep_winners: bool,
-    mask_limit: "int | None" = None,
 ) -> Dataset:
     if num_partitions is None:
         from .combine import auto_partitions
@@ -527,7 +481,7 @@ def _dedup_impl(
     if n_tied and n_tied > broadcast_limit:
         return _groups_fallback(ds, key, order_col, keep_winners)
     main = _join_filter(
-        ds, dup, key, order_col, keep_winners, num_partitions, mask_limit
+        ds, dup, key, order_col, keep_winners, num_partitions
     )
     if not n_tied:
         return main
@@ -552,17 +506,15 @@ def exact_dedup(
     distributed: Optional[bool] = None,
     broadcast_limit: int = DEFAULT_BROADCAST_LIMIT,
     num_partitions: Optional[int] = None,
-    mask_limit: "int | None" = None,
 ) -> Dataset:
     """Keep one row (min order_col) per distinct value of ``key``.
 
     ``distributed``: None = auto (measure the dup count, broadcast when
     small, join when large); False = single-root stats + broadcast; True =
-    always the dataset-side join. ``mask_limit`` bounds the loser-set
-    broadcast on the join path (see ``_join_filter``)."""
+    always the dataset-side join."""
     return _dedup_impl(
         ds, key, order_col, distributed, broadcast_limit,
-        num_partitions, keep_winners=True, mask_limit=mask_limit,
+        num_partitions, keep_winners=True,
     )
 
 
@@ -573,28 +525,11 @@ def duplicate_rows(
     distributed: Optional[bool] = None,
     broadcast_limit: int = DEFAULT_BROADCAST_LIMIT,
     num_partitions: Optional[int] = None,
-    mask_limit: "int | None" = None,
 ) -> Dataset:
     """The complement: every row that is NOT the first of its group
     (the reference emits these as its duplicates table:
     bloomfilter.py:380-396)."""
     return _dedup_impl(
         ds, key, order_col, distributed, broadcast_limit,
-        num_partitions, keep_winners=False, mask_limit=mask_limit,
+        num_partitions, keep_winners=False,
     )
-
-
-def exact_dedup_groups(
-    ds: Dataset,
-    key: str = "content_sha256",
-    order_col: str = "doc_id",
-) -> Dataset:
-    """groupby().map_groups keep-first — simple fallback shape."""
-
-    def keep_first(group: pa.Table) -> pa.Table:
-        if group.num_rows <= 1:
-            return group
-        idx = pc.sort_indices(group.column(order_col))[0].as_py()
-        return group.slice(idx, 1)
-
-    return ds.groupby(key).map_groups(keep_first, batch_format="pyarrow")

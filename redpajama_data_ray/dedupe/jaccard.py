@@ -5,7 +5,7 @@ tests (small inputs only; the scale path is MinHash-LSH in ``lsh.py``).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..text import form_ngrams, normalize
 
@@ -24,28 +24,6 @@ def jaccard(a: Set[str], b: Set[str]) -> float:
         return 0.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
-
-
-def verify_pairs(
-    texts_by_id: dict,
-    pairs: Sequence[Tuple[int, int]],
-    threshold: float,
-    ngram: int = 13,
-) -> List[Tuple[int, int, float]]:
-    """Filter candidate id pairs by exact shingle Jaccard >= threshold."""
-    cache = {}
-
-    def sh(i):
-        if i not in cache:
-            cache[i] = shingle_set(texts_by_id[i], ngram)
-        return cache[i]
-
-    out = []
-    for a, b in pairs:
-        j = jaccard(sh(a), sh(b))
-        if j >= threshold:
-            out.append((a, b, j))
-    return out
 
 
 def distributed_jaccard_pairs(

@@ -202,16 +202,6 @@ def line_dedup(
     )
 
 
-def frequent_keys(counts: Dataset, min_count: int) -> Dataset:
-    """Filter a ``(line_key, cnt)`` counts Dataset to keys at or above
-    the threshold."""
-
-    def frequent_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(t.column("cnt"), min_count))
-
-    return counts.map_batches(frequent_only, batch_format="pyarrow")
-
-
 def drop_frequent_lines(
     ds: Dataset,
     freq: Dataset,

@@ -22,11 +22,11 @@ Ray-native rewrite of the reference's LSH job
 3. only components of two or more distinct ids are labelled;
 4. cluster id = min(id_int) of the connected component
    (run_lsh.py:324-338);
-5. duplicates (non-representatives) are subtracted from the corpus with
-   a vectorized broadcast membership mask (``apply.py`` — sorted-array
-   searchsorted, no per-row Python) when the drop set fits one
-   object-store object, else a ``left_anti`` join with nested columns
-   packed around it (Acero limitation).
+5. duplicates (non-representatives) are subtracted from the corpus by
+   ``apply.filter_members``: the root's drop set goes there as its
+   object ref (a broadcast searchsorted mask); the distributed path's
+   drop-set Dataset is counted there, masked when it fits
+   ``DEFAULT_MASK_BROADCAST_LIMIT`` and ``left_anti``-joined above it.
 """
 
 from __future__ import annotations
@@ -39,19 +39,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from .apply import (
-    DEFAULT_MASK_BROADCAST_LIMIT,
-    collect_column,
-    filter_members,
-    membership_mask,
-    nested_types,
-    pack_nested,
-    unpack_nested,
-)
-
-# compat aliases (state/incremental.py and older callers import these)
-_pack_nested = pack_nested
-_unpack_nested = unpack_nested
+from .apply import filter_members, membership_mask
 
 
 # splitmix64 finalizer constants (public domain, Steele et al.) — the
@@ -426,72 +414,12 @@ def clusters_table(clusters: "Dict[int, int] | Dataset") -> pa.Table:
     )
 
 
-def _drop_ids(
-    ds: Dataset,
-    dupes_ds: Dataset,
-    id_column: str,
-    num_partitions: int,
-    mask_limit: int = DEFAULT_MASK_BROADCAST_LIMIT,
-) -> Dataset:
-    """Subtract the rows whose ``id_column`` appears in ``dupes_ds``
-    (single narrow column, materialized): broadcast searchsorted mask
-    when the drop set fits one object, else pack-nested ``left_anti``
-    join (Acero fallback)."""
-    n = dupes_ds.count()
-    if n == 0:
-        return ds
-    if n <= mask_limit:
-        return filter_members(
-            ds, id_column, collect_column(dupes_ds, id_column), False
-        )
-    # repartition before the join: Ray 2.49's hash-shuffle join rejects
-    # inputs whose empty partitions lost their schema
-    dupes_ds = dupes_ds.repartition(num_partitions)
-    nested = nested_types(ds.schema().base_schema, exclude=(id_column,))
-    packed = ds.map_batches(pack_nested(nested), batch_format="pyarrow")
-    # the module's uint64 constraint applies here too: hash-shuffle
-    # joins pickle uint64 values above int64-max into python-object
-    # columns that cannot join — run the join on the signed bijection
-    # and map back after (ids >= 2^63 are ~half of all sha-derived
-    # id_int values)
-    id_type = ds.schema().base_schema.field(id_column).type
-    sign_ids = pa.types.is_uint64(id_type)
-    if sign_ids:
-        from .components import _to_signed, _to_unsigned
-
-        def _sign(t: pa.Table) -> pa.Table:
-            i = t.schema.get_field_index(id_column)
-            return t.set_column(
-                i, id_column, _to_signed(t.column(id_column))
-            )
-
-        packed = packed.map_batches(_sign, batch_format="pyarrow")
-        dupes_ds = dupes_ds.map_batches(_sign, batch_format="pyarrow")
-    deduped = packed.join(
-        dupes_ds,
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=(id_column,),
-    )
-    if sign_ids:
-
-        def _unsign(t: pa.Table) -> pa.Table:
-            i = t.schema.get_field_index(id_column)
-            return t.set_column(
-                i, id_column, _to_unsigned(t.column(id_column))
-            )
-
-        deduped = deduped.map_batches(_unsign, batch_format="pyarrow")
-    return deduped.map_batches(unpack_nested(nested), batch_format="pyarrow")
-
-
 def fuzzy_dedup(
     ds: Dataset,
     sig_column: str = "signature_sim0.8",
     id_column: str = "id_int",
     distributed: "bool | None" = None,
     num_partitions: "int | None" = None,
-    mask_limit: int = DEFAULT_MASK_BROADCAST_LIMIT,
 ) -> "Tuple[Dataset, Union[Dict[int, int], Dataset]]":
     """Drop every row whose cluster representative is another row.
 
@@ -522,10 +450,7 @@ def fuzzy_dedup(
     dupes_ds = labels.map_batches(
         non_reps, batch_format="pyarrow"
     ).materialize()
-    return (
-        _drop_ids(ds, dupes_ds, id_column, num_partitions, mask_limit),
-        labels,
-    )
+    return filter_members(ds, id_column, dupes_ds, False), labels
 
 
 def write_cluster_outputs(

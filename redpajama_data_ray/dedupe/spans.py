@@ -160,26 +160,6 @@ def fingerprint_partials(
     return ds.map_batches(partial, batch_format="pyarrow")
 
 
-def fingerprint_counts(
-    ds: Dataset,
-    text_col: str = "text",
-    k: int = 50,
-    winnow_w: int = 8,
-    distributed: "bool | None" = None,
-) -> Dataset:
-    """Corpus-wide ``(fp, cnt)`` over selected k-gram fingerprints.
-    NOTE: most callers only need the duplicated set — that is
-    :func:`~.combine.dup_keys_from_partials` over
-    :func:`fingerprint_partials`, which skips combining the dominant
-    once-only keys; this full combine is for when every count matters
-    (e.g. state compaction)."""
-    return combine_counts(
-        fingerprint_partials(ds, text_col, k, winnow_w),
-        key="fp",
-        distributed=distributed,
-    )
-
-
 _SPAN_COLS = ("dup_spans", "n_dup_spans", "dup_char_frac")
 _POS_PAYLOAD = "__dup_pos"
 
@@ -255,19 +235,6 @@ def substring_dedup(
         broadcast_limit=broadcast_limit,
         num_partitions=num_partitions,
     )
-
-
-def dup_fingerprints(counts: Dataset, min_count: int = 2) -> Dataset:
-    """Fingerprints whose (possibly cross-run-summed) count reaches
-    ``min_count`` — the duplicated set :func:`apply_dup_fingerprints`
-    delivers."""
-
-    def dup_only(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.greater_equal(t.column("cnt"), min_count)
-        )
-
-    return counts.map_batches(dup_only, batch_format="pyarrow")
 
 
 def apply_dup_fingerprints(

@@ -1,48 +1,17 @@
-"""Document fingerprinting: content hashes, SimHash, rolling hashes.
+"""Document fingerprinting: 64-bit SimHash.
 
-- ``content_sha256`` / ``content_md5``: exact-dedup keys (the reference
-  deduplicates on CCNet's sha1 ``digest``:
-  /root/reference/app/src/bloomfilter.py:380-396 — we use sha256 of the
-  content itself, deterministic and parallel-safe).
-- ``doc_id`` / ``id_int``: stable ids from the corpus key
-  ``{repo}/{path}@{commit}`` — first 8 bytes of sha1 as little-endian
-  uint64, mirroring /root/reference/app/src/core/worker.py:240-244 but
-  keyed on content-stable fields instead of file position so Ray's
-  unordered execution cannot change ids (byteorder pinned little).
-- ``simhash64``: 64-bit SimHash over normalized word 2-shingles
-  (Charikar 2002) for near-dup detection by Hamming distance.
-- ``rolling_fingerprint``: Rabin-Karp style rolling-hash min-sketch.
+``simhash64``: 64-bit SimHash over normalized word 2-shingles
+(Charikar 2002) for near-dup detection by Hamming distance.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..text import form_ngrams
-
-
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def md5_hex(text: str) -> str:
-    return hashlib.md5(text.encode("utf-8")).hexdigest()
-
-
-def doc_id_for(repo: str, path: str, commit: str) -> str:
-    return f"{repo}/{path}@{commit}"
-
-
-def id_int_for(doc_id: str) -> int:
-    """uint64 from the first 8 sha1 bytes, little-endian (pinned)."""
-    return int.from_bytes(
-        hashlib.sha1(doc_id.encode("utf-8")).digest()[:8],
-        byteorder="little",
-        signed=False,
-    )
 
 
 def _hash64(data: bytes) -> int:
@@ -66,22 +35,3 @@ def simhash64(tokens: Sequence[str], shingle: int = 2) -> int:
     votes = 2 * bits.astype(np.int64).sum(axis=0) - len(hs)
     out_bits = np.nonzero(votes > 0)[0]
     return int(sum(1 << int(i) for i in out_bits))
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
-def rolling_fingerprint(
-    text: str, window: int = 32, keep: int = 8
-) -> List[int]:
-    """Winnowing-style min-sketch: the ``keep`` smallest 64-bit rolling
-    window hashes of the text (deterministic, order-free)."""
-    data = text.encode("utf-8")
-    if len(data) <= window:
-        return [_hash64(data)] if data else []
-    hashes = {
-        _hash64(data[i : i + window])
-        for i in range(0, len(data) - window + 1, window // 2)
-    }
-    return sorted(hashes)[:keep]

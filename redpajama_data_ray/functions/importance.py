@@ -33,11 +33,6 @@ from ..text import wordpunct_tokenize
 DEFAULT_BUCKETS = 10_000  # reference: configs/rp_v2.0.conf:32
 
 
-def stable_ngram_hash(ngram: str, buckets: int) -> int:
-    """Deterministic hash of an n-gram string into [0, buckets)."""
-    return zlib.crc32(ngram.encode("utf-8")) % buckets
-
-
 def token_hashes(words: Sequence[str]) -> np.ndarray:
     """crc32 of every raw unigram and space-joined bigram (uint64).
 
@@ -66,21 +61,6 @@ def features_from_hashes(hashes: np.ndarray, buckets: int) -> np.ndarray:
     return np.bincount(
         (hashes % np.uint64(buckets)).astype(np.int64), minlength=buckets
     )
-
-
-def hash_features(
-    unigrams: Sequence[str],
-    bigrams: Iterable[Tuple[str, str]],
-    buckets: int = DEFAULT_BUCKETS,
-) -> np.ndarray:
-    """Count vector over hashed unigrams + joined bigrams (slow path
-    retained for API parity; prefer token_hashes + features_from_hashes)."""
-    counts = np.zeros(buckets, dtype=np.int64)
-    for u in unigrams:
-        counts[stable_ngram_hash(u, buckets)] += 1
-    for b in bigrams:
-        counts[stable_ngram_hash(" ".join(b), buckets)] += 1
-    return counts
 
 
 def text_features(text: str, buckets: int = DEFAULT_BUCKETS) -> np.ndarray:

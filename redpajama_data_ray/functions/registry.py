@@ -60,12 +60,3 @@ def registered_signals() -> Dict[str, RegisteredSignal]:
 def registry_schema() -> List[tuple]:
     """(name, dtype) pairs — the schema contribution of the registry."""
     return [(s.name, s.dtype) for s in _REGISTRY.values()]
-
-
-def apply_registered_signals(batch: "pa.Table", texts: List[str]) -> "pa.Table":
-    """Append every registered signal column to an Arrow batch."""
-    for sig in _REGISTRY.values():
-        batch = batch.append_column(
-            sig.name, pa.array(sig.fn(texts), sig.dtype)
-        )
-    return batch

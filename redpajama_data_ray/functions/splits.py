@@ -51,6 +51,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from ..dedupe.apply import filter_members
 from .mixing import hex_prefix, sample_hex, weight_threshold_hex
 
 # one threshold row (~50 B) per over-cap group; 5M over-cap groups
@@ -242,89 +243,26 @@ def _gid_digests(g: "np.ndarray", id_s: "np.ndarray") -> np.ndarray:
     return out
 
 
-def _corpus_digests(
-    t: pa.Table, group_col: str, id_col: str
-) -> np.ndarray:
-    g = np.array(
-        [str(k) for k in t.column(group_col).to_pylist()], dtype=object
-    )
-    id_s = np.array(
-        [str(v) for v in t.column(id_col).to_pylist()], dtype=object
-    )
-    return _gid_digests(g, id_s)
-
-
-def _subtract_losers(
-    ds: Dataset,
-    losers: Dataset,
-    group_col: str,
-    id_col: str,
-    mask_limit: "int | None" = None,
-) -> Dataset:
-    """Drop the corpus rows whose (group, id) digest appears in
-    ``losers`` (single ``_DIG_COL`` column, materialized): a broadcast
-    searchsorted mask when the loser set fits one object, else a
-    ``left_anti`` join on the digest with nested payload columns
-    packed around Acero (the dedupe/apply.py delivery pattern). The
-    corpus only ever joins on the UNIFORM digest key — never on the
-    skewed group key — so a giant domain cannot pin one partition."""
-    from ..dedupe.apply import (
-        DEFAULT_MASK_BROADCAST_LIMIT,
-        nested_types,
-        pack_nested,
-        unpack_nested,
-    )
-    from ..dedupe.combine import auto_partitions
-
-    if mask_limit is None:
-        mask_limit = DEFAULT_MASK_BROADCAST_LIMIT
-    n = losers.count()
-    if n == 0:
-        return ds
-    if n <= mask_limit:
-        chunks = [
-            np.asarray(b.column(_DIG_COL).to_pylist(), dtype="S16")
-            for b in losers.iter_batches(
-                batch_size=65536, batch_format="pyarrow"
-            )
-        ]
-        sv = np.sort(np.concatenate(chunks))
-        ref = ray.put(sv)
-
-        def _mask(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return t
-            member = ray.get(ref)
-            dig = _corpus_digests(t, group_col, id_col)
-            idx = np.searchsorted(member, dig)
-            idx_c = np.minimum(idx, len(member) - 1)
-            hit = (member[idx_c] == dig) & (idx < len(member))
-            return t.filter(pa.array(~hit))
-
-        return ds.map_batches(_mask, batch_format="pyarrow")
-
-    nparts = auto_partitions()
-    losers = losers.repartition(nparts)
+def _with_gid_digest(ds: Dataset, group_col: str, id_col: str) -> Dataset:
+    """``ds`` with each row's (group, id) digest appended as
+    ``_DIG_COL``: the key the join deliveries subtract loser rows by
+    (``filter_members(..., _DIG_COL, losers, False)``, then drop the
+    column). The corpus only ever joins on this UNIFORM digest key —
+    never on the skewed group key — so a giant domain cannot pin one
+    partition."""
 
     def _addd(t: pa.Table) -> pa.Table:
-        dig = _corpus_digests(t, group_col, id_col)
+        g = np.array(
+            [str(k) for k in t.column(group_col).to_pylist()], dtype=object
+        )
+        id_s = np.array(
+            [str(v) for v in t.column(id_col).to_pylist()], dtype=object
+        )
         return t.append_column(
-            _DIG_COL, pa.array(dig.tolist(), pa.binary())
+            _DIG_COL, pa.array(_gid_digests(g, id_s).tolist(), pa.binary())
         )
 
-    ds2 = ds.map_batches(_addd, batch_format="pyarrow")
-    nested = nested_types(ds2.schema().base_schema, exclude=(_DIG_COL,))
-    if nested:
-        ds2 = ds2.map_batches(pack_nested(nested), batch_format="pyarrow")
-    out = ds2.join(
-        losers,
-        join_type="left_anti",
-        num_partitions=nparts,
-        on=(_DIG_COL,),
-    )
-    if nested:
-        out = out.map_batches(unpack_nested(nested), batch_format="pyarrow")
-    return out.drop_columns([_DIG_COL])
+    return ds.map_batches(_addd, batch_format="pyarrow")
 
 
 def _strip_block_sentinels(tbl, nparts: int, what: str):
@@ -454,8 +392,8 @@ def _cap_join_delivery(
     corpus inner-joins the threshold table on the group key — only
     over-cap groups' rows survive the join — and the composite-key
     compare marks the LOSER rows as 16-byte (group, id) digests;
-    (2) :func:`_subtract_losers` removes them from the corpus by
-    digest (broadcast mask or left_anti join). Document text never
+    (2) ``filter_members`` removes them from the corpus by digest
+    (broadcast mask or left_anti join). Document text never
     enters the group-keyed join, and the corpus-side join key is the
     uniform digest, so group skew cannot pin a partition."""
     from ..dedupe.combine import auto_partitions
@@ -514,7 +452,9 @@ def _cap_join_delivery(
     losers = joined.map_batches(
         _losers, batch_format="pyarrow"
     ).materialize()
-    return _subtract_losers(ds, losers, group_col, id_col)
+    return filter_members(
+        _with_gid_digest(ds, group_col, id_col), _DIG_COL, losers, False
+    ).drop_columns([_DIG_COL])
 
 
 def cap_per_group(
@@ -962,7 +902,7 @@ def token_budget_sample(
         the broadcast path; a second inner join of the projection
         with (boundary ⟕ cut) marks loser rows, which are subtracted
         from the corpus by (group, id) digest
-        (:func:`_subtract_losers` — uniform key, no group skew)."""
+        (:func:`_with_gid_digest` — uniform key, no group skew)."""
 
         small = max(2, min(nparts, 16))
 
@@ -1150,7 +1090,9 @@ def token_budget_sample(
         losers = joined.map_batches(
             _losers, batch_format="pyarrow"
         ).materialize()
-        return _subtract_losers(ds, losers, group_col, id_col)
+        return filter_members(
+            _with_gid_digest(ds, group_col, id_col), _DIG_COL, losers, False
+        ).drop_columns([_DIG_COL])
 
     if delivery == "join" or (
         delivery == "auto" and n_b > max_broadcast_groups

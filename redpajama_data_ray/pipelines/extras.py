@@ -345,7 +345,7 @@ def write_fuzzy_dedup_oracle(sf_dir: str) -> str:
 
 def _seq_simhash64(tokens):
     """Independent sequential SimHash: unpackbits bit-vote (the engine
-    votes via a shift matrix — functions/fingerprint.py:54)."""
+    votes via a shift matrix — functions/fingerprint.py simhash64)."""
     import hashlib
 
     import numpy as np

@@ -306,12 +306,3 @@ def read_corpus(
     if max_docs is not None:
         ds = ds.limit(max_docs)
     return ds
-
-
-def run_flagship(
-    sf_dir: str = "/root/testdata/sf0.001",
-    cfg: Optional[QualityConfig] = None,
-) -> Dataset:
-    """End-to-end annotated corpus for a scale factor (lazy)."""
-    return annotate(read_corpus(sf_dir), cfg)
-

@@ -19,8 +19,9 @@ Ray-Data shape (all published steps map onto existing scale paths):
    device for making web-scale pairwise feasible: cost drops from
    O(n²) to O(n²/k)). Pairwise blocks are chunked on BOTH axes so
    temporaries stay bounded under skewed clusters;
-4. delivery: broadcast sorted dropped-id set + vectorized
-   ``searchsorted`` mask (``dedupe/apply.py``).
+4. delivery: ``dedupe/apply.py`` ``filter_members`` — a broadcast
+   sorted dropped-id set + vectorized ``searchsorted`` mask, or a
+   ``left_anti`` join when the set is too large to broadcast.
 
 Partitioning assumption (documented as required for custom operators):
 one cluster must fit one ``map_groups`` worker. At 100 TB choose
@@ -37,7 +38,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ..dedupe.apply import broadcast_sorted, filter_members
+from ..dedupe import apply
 from .ivf import assign_ivf_buckets, train_centroids
 from .knn import _batch_matrix, _cluster_edges  # noqa: F401 — the ONE
 # chunked pairwise kernel lives in knn.py (shared with the LSH
@@ -139,21 +140,16 @@ def semdedup(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     centroids: Optional[np.ndarray] = None,
-    mask_limit: Optional[int] = None,
 ) -> Tuple[Dataset, np.ndarray]:
     """Full SemDeDup pass: returns (deduplicated dataset, dropped ids).
 
-    Delivery is size-adaptive: up to ``mask_limit`` dropped ids (8 B
-    each, default DEFAULT_MASK_BROADCAST_LIMIT) the sorted set
-    broadcasts and a vectorized searchsorted mask filters without a
-    shuffle; beyond that the narrow dropped-id dataset LEFT-ANTI-joins
-    the corpus (nested payload columns packed for Acero, dedupe/apply
-    machinery) and the dropped ids are never collected to the driver —
-    the second return value is then an empty array (a dup population
-    that large should be consumed from the written output, not a
-    driver list)."""
-    from ..dedupe.apply import DEFAULT_MASK_BROADCAST_LIMIT
-
+    The narrow dropped-id Dataset goes to ``dedupe.apply.filter_members``,
+    which broadcasts a sorted mask up to ``DEFAULT_MASK_BROADCAST_LIMIT``
+    ids (8 B each) and above it LEFT-ANTI-joins the corpus (nested
+    payload columns packed for Acero). The dropped ids are collected
+    for the second return value only when they fit that limit; beyond
+    it the value is an empty array (a dup population that large should
+    be consumed from the written output, not a driver list)."""
     if centroids is None:
         centroids = train_centroids(
             ds, dim, n_centroids=n_centroids, vec_col=vec_col,
@@ -164,36 +160,8 @@ def semdedup(
         indexed, centroids, threshold=threshold, keep=keep,
         vec_col=vec_col, id_col=id_col,
     ).materialize()  # narrow id-only table; executed exactly once
-    if mask_limit is None:
-        mask_limit = DEFAULT_MASK_BROADCAST_LIMIT
-    n_dropped = dropped_ds.count()
-    if n_dropped == 0:
-        return ds, np.array([], np.int64)
-    if n_dropped > mask_limit:
-        # join delivery: dup ids stay in the object store
-        from ..dedupe.apply import (
-            nested_types, pack_nested, unpack_nested,
-        )
-        from ..dedupe.combine import auto_partitions, tune_shuffle_context
-
-        tune_shuffle_context()
-        schema = ds.schema()
-        nested = nested_types(schema.base_schema, exclude=(id_col,))
-        packed = (
-            ds.map_batches(pack_nested(nested), batch_format="pyarrow")
-            if nested
-            else ds
-        )
-        kept = packed.join(
-            dropped_ds,
-            join_type="left_anti",
-            num_partitions=auto_partitions(),
-            on=(id_col,),
-        )
-        if nested:
-            kept = kept.map_batches(
-                unpack_nested(nested), batch_format="pyarrow"
-            )
+    kept = apply.filter_members(ds, id_col, dropped_ds, keep_members=False)
+    if dropped_ds.count() > apply.DEFAULT_MASK_BROADCAST_LIMIT:
         return kept, np.array([], np.int64)
     dropped = np.sort(
         np.concatenate(
@@ -206,6 +174,4 @@ def semdedup(
             or [np.array([], np.int64)]
         ).astype(np.int64)
     )
-    ref = broadcast_sorted(dropped)
-    kept = filter_members(ds, id_col, ref, keep_members=False)
     return kept, dropped

@@ -10,9 +10,11 @@ Ray-native design:
    broadcast/join);
 2. drop rows whose key appears in any previously COMMITTED run:
    - exact mode (default): seen keys live as parquet under
-     ``state_dir/keys/``; small states broadcast as a frozenset,
-     large ones ``left_anti``-join in the object store — exact
-     semantics, unlike the reference's false-positive-prone filter;
+     ``state_dir/keys/``; small states broadcast as a sorted key
+     array, large ones ``left_semi``-join a narrow (key, order)
+     projection in the object store and the hit rows leave the corpus
+     through ``dedupe.apply.filter_members`` — exact semantics,
+     unlike the reference's false-positive-prone filter;
    - ``approximate=True``: reference-parity probabilistic mode — a
      ``BloomFilter`` built once per actor from the state parquet
      (capacity/error_rate as in bloomfilter.py:140-143); may drop a
@@ -32,8 +34,8 @@ import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
 
-# above this many seen keys, stop broadcasting the frozenset and
-# anti-join against the state dataset instead
+# above this many seen keys, stop broadcasting the sorted key array and
+# join against the state dataset instead
 DEFAULT_STATE_BROADCAST_LIMIT = 5_000_000
 
 
@@ -104,7 +106,6 @@ def incremental_exact_dedup(
     error_rate: float = 0.01,
     broadcast_limit: int = DEFAULT_STATE_BROADCAST_LIMIT,
     num_partitions: Optional[int] = None,
-    mask_limit: Optional[int] = None,
 ) -> Tuple[Dataset, str]:
     """Returns ``(deduped dataset, run_id)`` and commits this run's
     surviving keys to ``state_dir`` when the dataset is consumed via
@@ -112,7 +113,10 @@ def incremental_exact_dedup(
     data output FIRST and only then commit state — crash-safe order).
 
     The returned dataset contains rows unique within the run AND not
-    seen by any previously committed run."""
+    seen by any previously committed run. Above ``broadcast_limit``
+    committed keys the state joins a narrow (key, order) projection,
+    and ``dedupe.apply.filter_members`` subtracts the hit rows
+    by ``order_col``."""
     from ..dedupe.exact import exact_dedup
 
     if run_id is None:
@@ -187,19 +191,12 @@ def incremental_exact_dedup(
 
     # large state: semi-join a NARROW (key, order) projection against
     # the state dataset, then subtract the hit rows from the full-width
-    # corpus by order-id membership — wide payloads never shuffle.
-    # Only when the hit set itself is too large to broadcast does the
-    # full corpus anti-join (with nested columns packed for Acero).
+    # corpus by order-id membership (filter_members: a broadcast mask,
+    # or a full-corpus anti-join when the hit set is too large) — wide
+    # payloads never shuffle for the state join.
     import ray.data as rd
 
-    from ..dedupe.apply import (
-        DEFAULT_MASK_BROADCAST_LIMIT,
-        collect_column,
-        filter_members,
-        nested_types,
-        pack_nested,
-        unpack_nested,
-    )
+    from ..dedupe.apply import filter_members
     from ..dedupe.combine import auto_partitions, tune_shuffle_context
 
     tune_shuffle_context()
@@ -222,23 +219,7 @@ def incremental_exact_dedup(
         )
         .materialize()
     )
-    if mask_limit is None:
-        mask_limit = DEFAULT_MASK_BROADCAST_LIMIT
-    n_hits = hit_ids.count()
-    if n_hits == 0:
-        return within, run_id
-    if n_hits <= mask_limit:
-        vals = collect_column(hit_ids, order_col)
-        return filter_members(within, order_col, vals, False), run_id
-    nested = nested_types(within.schema().base_schema, exclude=(order_col,))
-    packed = within.map_batches(pack_nested(nested), batch_format="pyarrow")
-    deduped = packed.join(
-        hit_ids.repartition(num_partitions),
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=(order_col,),
-    ).map_batches(unpack_nested(nested), batch_format="pyarrow")
-    return deduped, run_id
+    return filter_members(within, order_col, hit_ids, False), run_id
 
 
 def commit_run_keys(
@@ -355,7 +336,6 @@ def incremental_fuzzy_dedup(
     run_id: Optional[str] = None,
     broadcast_limit: int = DEFAULT_STATE_BROADCAST_LIMIT,
     num_partitions: Optional[int] = None,
-    mask_limit: Optional[int] = None,
 ) -> Tuple[Dataset, str]:
     """Cross-run NEAR-dup dedup: the fuzzy analog of
     :func:`incremental_exact_dedup` (the reference runs LSH per batch
@@ -367,7 +347,9 @@ def incremental_fuzzy_dedup(
        committed run (an LSH hit at the configured threshold =
        near-duplicate candidate; same FP/FN trade-off as the batch
        LSH) — broadcast the band set when small, ``left_semi`` join
-       the exploded bands when large;
+       the exploded bands when large; the hit ids leave the corpus
+       through ``dedupe.apply.filter_members`` (broadcast mask, or a
+       ``left_anti`` join when the hit set is too large);
     3. commit the survivors' band hashes via :func:`commit_run_bands`
        AFTER writing data (atomic rename, idempotent per run_id)."""
     from ..dedupe.lsh import explode_bands, fuzzy_dedup
@@ -440,12 +422,7 @@ def incremental_fuzzy_dedup(
     # Ray's hash shuffle pickles uint64 above int64-max)
     import ray.data as rd
 
-    from ..dedupe.apply import (
-        DEFAULT_MASK_BROADCAST_LIMIT,
-        nested_types,
-        pack_nested,
-        unpack_nested,
-    )
+    from ..dedupe.apply import filter_members
     from ..dedupe.combine import auto_partitions, tune_shuffle_context
     from ..dedupe.components import _to_signed
 
@@ -478,7 +455,8 @@ def incremental_fuzzy_dedup(
     )
 
     def ids_only(t: pa.Table) -> pa.Table:
-        # back to unsigned so the anti join matches within's raw ids
+        # back to unsigned: filter_members compares within's raw ids
+        # (and signs both sides itself if it joins)
         from ..dedupe.components import _to_unsigned
 
         return pa.table({id_column: _to_unsigned(t["id_int"])})
@@ -486,25 +464,7 @@ def incremental_fuzzy_dedup(
     hit_ids_ds = hit_pairs.map_batches(
         ids_only, batch_format="pyarrow"
     ).materialize()
-    if mask_limit is None:
-        mask_limit = DEFAULT_MASK_BROADCAST_LIMIT
-    n_hits = hit_ids_ds.count()
-    if n_hits == 0:
-        return within, run_id
-    if n_hits <= mask_limit:
-        from ..dedupe.apply import collect_column, filter_members
-
-        vals = collect_column(hit_ids_ds, id_column)
-        return filter_members(within, id_column, vals, False), run_id
-    nested = nested_types(within.schema().base_schema, exclude=(id_column,))
-    packed = within.map_batches(pack_nested(nested), batch_format="pyarrow")
-    deduped = packed.join(
-        hit_ids_ds.repartition(num_partitions),
-        join_type="left_anti",
-        num_partitions=num_partitions,
-        on=(id_column,),
-    ).map_batches(unpack_nested(nested), batch_format="pyarrow")
-    return deduped, run_id
+    return filter_members(within, id_column, hit_ids_ds, False), run_id
 
 
 def commit_run_bands(

@@ -7,10 +7,13 @@ import glob
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data
+from hypothesis import given, settings, strategies as st
 
+import redpajama_data_ray.dedupe.apply as apply_mod
 from redpajama_data_ray.dedupe.apply import (
     as_key_array,
     filter_members,
@@ -144,13 +147,14 @@ class TestFuzzyMaskDelivery:
             )
         )
 
-    def test_mask_path_equals_pack_fallback(self):
+    def test_mask_path_equals_pack_fallback(self, monkeypatch):
         """The distributed drop stage: searchsorted mask (default) and
-        the pack+anti-join fallback (mask_limit=0) agree — with the
-        nested signature column present both ways."""
+        the pack+anti-join fallback (a zero broadcast limit) agree —
+        with the nested signature column present both ways."""
         ds = self._sig_ds()
         via_mask, _ = fuzzy_dedup(ds, distributed=True)
-        via_join, _ = fuzzy_dedup(ds, distributed=True, mask_limit=0)
+        monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
+        via_join, _ = fuzzy_dedup(ds, distributed=True)
         a = sorted(
             x
             for b in via_mask.iter_batches(batch_format="pyarrow")
@@ -223,25 +227,22 @@ class TestClusterSinksSizeAdaptive:
 
 
 class TestExactNarrowJoinDelivery:
-    def test_mask_path_equals_pack_fallback(self):
+    def test_mask_path_equals_pack_fallback(self, monkeypatch):
         """Forced-join exact dedup: broadcast-mask delivery (default)
-        and the pack+anti-join fallback (mask_limit=0) agree, nested
-        column intact both ways."""
+        and the pack+anti-join fallback (a zero broadcast limit)
+        agree, nested column intact both ways."""
         t = _nested_table()
         via_mask = exact_dedup(ray.data.from_arrow(t), distributed=True)
-        via_join = exact_dedup(
-            ray.data.from_arrow(t), distributed=True, mask_limit=0
-        )
+        dup_mask = duplicate_rows(ray.data.from_arrow(t), distributed=True)
+        monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
+        via_join = exact_dedup(ray.data.from_arrow(t), distributed=True)
         assert _ids(via_mask) == _ids(via_join)
         row = via_join.take(1)[0]
         assert [bytes(b) for b in row["signature_sim0.8"]] == [
             b"\x00\x01",
             b"\x02\x03",
         ]
-        dup_mask = duplicate_rows(ray.data.from_arrow(t), distributed=True)
-        dup_join = duplicate_rows(
-            ray.data.from_arrow(t), distributed=True, mask_limit=0
-        )
+        dup_join = duplicate_rows(ray.data.from_arrow(t), distributed=True)
         assert _ids(dup_mask) == _ids(dup_join)
         assert len(_ids(dup_mask)) == 10
 
@@ -268,8 +269,6 @@ class TestDigestFallback:
         )
 
     def test_digest_mask_equals_fixed_width_mask(self, monkeypatch):
-        import redpajama_data_ray.dedupe.apply as apply_mod
-
         # one member wider than 16 bytes: digest mode only pays (and
         # only triggers) when digests SHRINK the fixed-width slots
         members = ["abc", "zz", "a key wider than sixteen", "abc"]
@@ -311,8 +310,6 @@ class TestDigestFallback:
         assert m.tolist() == [True, False]
 
     def test_filter_members_digest_roundtrip(self, monkeypatch):
-        import redpajama_data_ray.dedupe.apply as apply_mod
-
         monkeypatch.setattr(apply_mod, "FIXED_WIDTH_MASK_LIMIT", 1)
         keys = [k * 20 for k in ("a", "b", "c", "d")]  # wide -> digest
         ds = ray.data.from_arrow(
@@ -333,7 +330,6 @@ class TestDigestFallback:
     ):
         """The sf1 crash repro, shrunk: cross-run exact dedup keyed on
         RAW content where one committed key is huge."""
-        import redpajama_data_ray.dedupe.apply as apply_mod
         from redpajama_data_ray.state.incremental import (
             commit_run_keys,
             incremental_exact_dedup,
@@ -370,3 +366,84 @@ class TestDigestFallback:
         )
         got = sorted(out2.to_pandas().doc_id.tolist())
         assert got == ["f"]  # giant + "two" seen in r1; f dedups g
+
+
+# per key type, a pool both sides draw from: uint64 on both sides of
+# 2^63, int64 at its extremes, and strings/binaries that differ only in
+# trailing NUL bytes
+_KEY_POOLS = {
+    "uint64": (pa.uint64(), [0, 5, 2**63 - 1, 2**63, 2**63 + 7, 2**64 - 1]),
+    "int64": (pa.int64(), [-(2**63), -1, 0, 7, 2**53 + 1, 2**63 - 1]),
+    "string": (pa.string(), ["", "a", "ab", "abc", "zz", "\u00e9"]),
+    "binary": (
+        pa.binary(),
+        [b"", b"\x00", b"foo", b"foo\x00", b"foo\x00\x00", b"\x01"],
+    ),
+}
+
+
+@st.composite
+def _member_case(draw, pool):
+    """(corpus keys, member key blocks): the corpus holds every pool
+    value and a null, in a drawn order, plus drawn repeats; members
+    come in up to four blocks, empty ones and nulls included."""
+    key = st.one_of(st.none(), st.sampled_from(pool))
+    corpus = draw(st.permutations(list(pool) + [None]))
+    corpus = corpus + draw(st.lists(key, max_size=4))
+    blocks = draw(st.lists(st.lists(key, max_size=4), min_size=1, max_size=4))
+    return corpus, blocks
+
+
+def _rows(t: pa.Table) -> list:
+    return sorted(zip(*(t.column(c).to_pylist() for c in ("i", "k", "tags"))))
+
+
+def _member_rows(ds) -> list:
+    return sorted(
+        row
+        for b in ds.iter_batches(batch_format="pyarrow")
+        if b.num_rows
+        for row in _rows(b)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_KEY_POOLS))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_filter_members_dataset_paths_match_is_in(kind, data):
+    """A member Dataset through the broadcast side and the join side
+    (a zero ``DEFAULT_MASK_BROADCAST_LIMIT``) gives the rows a pyarrow
+    ``is_in`` oracle keeps, for both ``keep_members`` values: null keys
+    never match, zero-row and schema-less member blocks are harmless,
+    the key type survives the join's signed bijection and the nested
+    payload its pack/unpack."""
+    typ, pool = _KEY_POOLS[kind]
+    corpus, blocks = data.draw(_member_case(pool))
+    table = pa.table(
+        {
+            "k": pa.array(corpus, typ),
+            "i": pa.array(range(len(corpus)), pa.int64()),
+            "tags": pa.array([[i] for i in range(len(corpus))]),
+        }
+    )
+    ds = ray.data.from_arrow([table.slice(0, 3), table.slice(3)])
+    # plus one zero-row block and one that lost its schema
+    members = ray.data.from_arrow(
+        [pa.table({"k": pa.array(b, typ)}) for b in blocks + [[]]]
+    ).union(
+        ray.data.from_arrow(pa.table({"k": pa.array(pool[:1], typ)}))
+        .map_batches(lambda t: pa.table({}), batch_format="pyarrow")
+    ).materialize()
+    values = pa.array([v for b in blocks for v in b if v is not None], typ)
+    hit = pc.fill_null(pc.is_in(table.column("k"), value_set=values), False)
+    for keep in (False, True):
+        want = table.filter(hit if keep else pc.invert(hit))
+        want_rows = _rows(want)
+        masked = filter_members(ds, "k", members, keep)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
+            joined = filter_members(ds, "k", members, keep)
+        assert _member_rows(masked) == want_rows
+        assert _member_rows(joined) == want_rows
+        if want.num_rows:
+            assert joined.schema().base_schema.field("k").type == typ

@@ -223,14 +223,17 @@ class TestCrossKeyOrderCollision:
         ).to_pandas()
         assert sorted(out.v.tolist()) == ["a2", "b3"]
 
-    def test_forced_join_large_loser_set_via_digest_join(self):
+    def test_forced_join_large_loser_set_via_digest_join(self, monkeypatch):
+        import redpajama_data_ray.dedupe.apply as apply_mod
+
         ds = ray.data.from_arrow(self._table())
-        # mask_limit=0 forces the anti/semi JOIN variant
+        # a zero broadcast limit forces the anti/semi JOIN variant
+        monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
         out = exact_dedup(
-            ds, key="k", order_col="o", distributed=True, mask_limit=0
+            ds, key="k", order_col="o", distributed=True
         ).to_pandas()
         assert sorted(out.v.tolist()) == ["a1", "b2"]
         dups = duplicate_rows(
-            ds, key="k", order_col="o", distributed=True, mask_limit=0
+            ds, key="k", order_col="o", distributed=True
         ).to_pandas()
         assert sorted(dups.v.tolist()) == ["a2", "b3"]

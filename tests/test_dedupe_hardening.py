@@ -59,8 +59,8 @@ def test_as_key_array_numeric_arrow_fast_path():
     assert sorted(out.tolist()) == sorted(HI_IDS)
 
 
-def test_drop_ids_join_fallback_full_uint64_range():
-    from redpajama_data_ray.dedupe.lsh import _drop_ids
+def test_filter_members_join_full_uint64_range(monkeypatch):
+    import redpajama_data_ray.dedupe.apply as apply_mod
 
     corpus = rd.from_arrow(
         pa.table(
@@ -76,9 +76,10 @@ def test_drop_ids_join_fallback_full_uint64_range():
             {"id_int": pa.array([2**63 + 7, 5], pa.uint64())}
         )
     )
-    # mask_limit=0 forces the left_anti join fallback (the path that
-    # crashed/mis-joined on raw uint64 keys above int64-max)
-    out = _drop_ids(corpus, dupes, "id_int", num_partitions=2, mask_limit=0)
+    # a zero broadcast limit forces the left_anti join fallback (the
+    # path that crashed/mis-joined on raw uint64 keys above int64-max)
+    monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
+    out = apply_mod.filter_members(corpus, "id_int", dupes.materialize(), False)
     t = pa.concat_tables(
         out.iter_batches(batch_format="pyarrow")
     )

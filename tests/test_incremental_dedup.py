@@ -290,13 +290,60 @@ def test_incremental_fuzzy_join_path(tmp_path):
     assert ids == [51]
 
 
-def test_join_path_pack_fallback(tmp_path):
+def test_incremental_fuzzy_both_joins_match_broadcast(tmp_path, monkeypatch):
+    """Both size switches of incremental_fuzzy_dedup forced to their
+    join side (band state by ``broadcast_limit``, hit-id delivery by
+    ``DEFAULT_MASK_BROADCAST_LIMIT``) drop the same rows as the
+    broadcast side, with ids on both sides of 2^63 and a nested
+    payload column carried through."""
+    import redpajama_data_ray.dedupe.apply as apply_mod
+
+    state = str(tmp_path / "state")
+    t1, _ = _sig_rows([("x", 1), ("y", 1)], "j", 1)
+    d1, rid = incremental_fuzzy_dedup(
+        ray.data.from_arrow(t1), state, run_id="a"
+    )
+    commit_run_bands(d1.materialize(), state, rid)
+    # x and y repeat run a's documents exactly: x below 2^63, y above
+    t2, _ = _sig_rows(
+        [("x", 1), ("new", 1), ("y", 1), ("new2", 1)], "j", 2**63 - 2
+    )
+    t2 = t2.append_column(
+        "tags", pa.array([[i, i + 1] for i in range(t2.num_rows)])
+    )
+
+    def rows(ds):
+        return sorted(
+            row
+            for b in ds.iter_batches(batch_format="pyarrow")
+            for row in zip(
+                b.column("id_int").to_pylist(), b.column("tags").to_pylist()
+            )
+        )
+
+    via_mask, _ = incremental_fuzzy_dedup(
+        ray.data.from_arrow(t2), state, run_id="b"
+    )
+    monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
+    via_join, _ = incremental_fuzzy_dedup(
+        ray.data.from_arrow(t2), state, run_id="b", broadcast_limit=1
+    )
+    assert rows(via_join) == rows(via_mask) == [
+        (2**63 - 1, [1, 2]),
+        (2**63 + 1, [3, 4]),
+    ]
+    assert via_join.schema().base_schema.field("id_int").type == pa.uint64()
+
+
+def test_join_path_pack_fallback(tmp_path, monkeypatch):
     """Round 3: the large-state delivery is a narrow semi-join + mask;
-    mask_limit=0 forces the full-width pack+anti-join fallback — both
-    must drop the same rows (with a nested column present)."""
+    a zero DEFAULT_MASK_BROADCAST_LIMIT forces the full-width
+    pack+anti-join fallback — both must drop the same rows (with a
+    nested column present)."""
     import pyarrow as pa
     import ray.data
 
+    import redpajama_data_ray.dedupe.apply as apply_mod
     from redpajama_data_ray.state.incremental import (
         commit_run_keys,
         incremental_exact_dedup,
@@ -333,9 +380,9 @@ def test_join_path_pack_fallback(tmp_path):
     via_mask, _ = incremental_exact_dedup(
         ray.data.from_arrow(t2), state, run_id="b", broadcast_limit=1
     )
+    monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 0)
     via_pack, _ = incremental_exact_dedup(
-        ray.data.from_arrow(t2), state, run_id="b", broadcast_limit=1,
-        mask_limit=0,
+        ray.data.from_arrow(t2), state, run_id="b", broadcast_limit=1
     )
     assert _ids(via_mask) == _ids(via_pack) == [f"b{i}" for i in range(10, 20)]
 

@@ -453,7 +453,8 @@ def test_ivf_probe_uses_cosine_not_raw_dot():
     assert list(out.vec_id) == [1]
 
 
-def test_semdedup_join_delivery_matches_broadcast(tmp_path):
+def test_semdedup_join_delivery_matches_broadcast(tmp_path, monkeypatch):
+    import redpajama_data_ray.dedupe.apply as apply_mod
     from redpajama_data_ray.similarity.semdedup import semdedup
 
     rng = np.random.default_rng(7)
@@ -471,9 +472,10 @@ def test_semdedup_join_delivery_matches_broadcast(tmp_path):
     kept_b, dropped_b = semdedup(
         rd.from_arrow(t), dim=8, n_centroids=4, threshold=0.9
     )
+    # a one-id broadcast limit forces the anti-join delivery
+    monkeypatch.setattr(apply_mod, "DEFAULT_MASK_BROADCAST_LIMIT", 1)
     kept_j, dropped_j = semdedup(
-        rd.from_arrow(t), dim=8, n_centroids=4, threshold=0.9,
-        mask_limit=1,  # force the anti-join delivery
+        rd.from_arrow(t), dim=8, n_centroids=4, threshold=0.9
     )
     assert len(dropped_b) >= 3  # the 4-clone cluster drops 3 (+ any
     # incidental random near-dups at this threshold/dim)
